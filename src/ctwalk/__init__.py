@@ -15,7 +15,6 @@ from .graphs import (
     gen_family,
     gen_path,
     gen_star,
-    hamiltonian,
     is_connected,
     laplacian,
     parse_edge_list,
@@ -30,7 +29,6 @@ from .spectral import (
     cluster_degeneracies,
     eigendecompose,
     format_spectrum,
-    jacobi_eigh,
     symmetry_degree,
 )
 from .transport import (
@@ -45,7 +43,6 @@ from .transport import (
     chi_bar,
     chi_bar_lb,
     classical_prob,
-    expm_oracle,
     lta_matrix,
     lta_pair,
     nearest_class,

@@ -4,8 +4,8 @@ Graphs come either from a generator spec (family:a, path:10, star:10,
 broom:5:5, cycle:12) or from an edge-list file path.  All numeric output is
 deterministic byte-for-byte for a fixed configuration.
 
-Exit codes: 0 success, 2 usage error, 3 numerical failure (eigensolver
-non-convergence), 4 I/O failure.
+Exit codes: 0 success, 2 usage error, 3 numerical failure (the eigensolver
+failed its residual check), 4 I/O failure.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
-"""Undirected graphs, their Laplacian/Hamiltonian matrices, and the ten-node
-benchmark family of networks interpolating between a path and a star.
+"""Undirected graphs, their Laplacian matrices (the walk Hamiltonian is H = L:
+uniform hopping rate 1, hbar = 1), and the ten-node benchmark family of
+networks interpolating between a path and a star.
 
 Node labels are 1-based at every public boundary (matching the physics
 convention); matrix rows/columns are 0-based internally, so node ``i`` maps to
@@ -14,10 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 FAMILY_LABELS = ("a", "b", "c", "d", "e")
-
-# Multiplicity of Laplacian eigenvalue 1 for each family member, asserted at
-# generation time so a topology regression fails loudly.
-_FAMILY_SYMMETRY = {"a": 0, "b": 2, "c": 4, "d": 6, "e": 8}
 
 
 @dataclass(frozen=True)
@@ -133,37 +130,21 @@ def gen_family(label: str) -> Graph:
        multiplicity 4; this is the closest broom-like tree that does.)
     d: broom B(3,7); eigenvalue 1 with multiplicity 6
     e: star of 10; eigenvalue 1 with multiplicity 8
-
-    The stated multiplicity is asserted against an eigendecomposition at
-    generation time.
     """
     if label == "a":
-        g = gen_path(10)
-    elif label == "b":
-        g = gen_broom(7, 3)
-    elif label == "c":
-        g = from_edge_list(
+        return gen_path(10)
+    if label == "b":
+        return gen_broom(7, 3)
+    if label == "c":
+        return from_edge_list(
             10,
             [(1, 2), (2, 3), (3, 4), (4, 5), (4, 6), (4, 7), (4, 8), (3, 9), (3, 10)],
         )
-    elif label == "d":
-        g = gen_broom(3, 7)
-    elif label == "e":
-        g = gen_star(10)
-    else:
-        raise ValueError(f"unknown family label {label!r}; expected one of {FAMILY_LABELS}")
-
-    # Deferred import: spectral has no dependency on this module, but the
-    # validation lives here, at the single place the family is materialized.
-    from .spectral import eigendecompose, symmetry_degree
-
-    expected = _FAMILY_SYMMETRY[label]
-    actual = symmetry_degree(eigendecompose(laplacian(g)))
-    if actual != expected:
-        raise AssertionError(
-            f"family {label!r}: eigenvalue-1 multiplicity {actual}, expected {expected}"
-        )
-    return g
+    if label == "d":
+        return gen_broom(3, 7)
+    if label == "e":
+        return gen_star(10)
+    raise ValueError(f"unknown family label {label!r}; expected one of {FAMILY_LABELS}")
 
 
 def adjacency(g: Graph) -> LabeledMatrix:
@@ -180,15 +161,6 @@ def laplacian(g: Graph) -> LabeledMatrix:
     m = -adjacency(g).entries.copy()
     m[np.diag_indices(g.n)] = g.degrees()
     return LabeledMatrix(g.n, m)
-
-
-def hamiltonian(g: Graph) -> LabeledMatrix:
-    """Walk Hamiltonian H = L (uniform hopping rate 1, hbar = 1).
-
-    The classical transfer matrix is -L and is never stored; consumers negate
-    in the exponent where the semigroup e^{-tL} is needed.
-    """
-    return laplacian(g)
 
 
 def is_connected(g: Graph) -> bool:

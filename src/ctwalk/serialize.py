@@ -2,9 +2,10 @@
 
 Numbers are rendered with 15 significant digits, fixed column order, LF line
 endings, so identical configurations produce byte-identical files.
-Probability values are clamped to [0, 1] here, and only here, after
-asserting the excursion is within tolerance; the dominant-degeneracy
-approximation series is exempt (it is not a probability).
+Probability values are clipped to [0, 1] here, and only here; TransportSeries
+and ProbabilityMatrix have already rejected any excursion beyond PROB_SLACK
+when they were built.  The dominant-degeneracy approximation series is exempt
+(it is not a probability).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .analysis import EfficiencyReport
-from .transport import PROB_SLACK, ProbabilityMatrix, TransportSeries
+from .transport import ProbabilityMatrix, TransportSeries
 
 
 def fmt_number(x: float) -> str:
@@ -26,20 +27,10 @@ def _round15(x: float) -> float:
     return float(fmt_number(x))
 
 
-def clamp_probabilities(values: np.ndarray, what: str) -> np.ndarray:
-    """Clamp to [0, 1] after checking that nothing strayed further than
-    PROB_SLACK; silent clamping would mask solver bugs."""
-    values = np.asarray(values, dtype=float)
-    lo, hi = float(np.min(values)), float(np.max(values))
-    if lo < -PROB_SLACK or hi > 1.0 + PROB_SLACK:
-        raise ValueError(f"{what}: excursion outside [0,1] exceeds {PROB_SLACK} (min {lo}, max {hi})")
-    return np.clip(values, 0.0, 1.0)
-
-
 def _export_values(series: TransportSeries) -> np.ndarray:
     if series.quantity == "approx_alpha_bar_sq":
         return series.values
-    return clamp_probabilities(series.values, series.quantity)
+    return np.clip(series.values, 0.0, 1.0)
 
 
 def series_to_csv(series: TransportSeries, approx: TransportSeries | None = None) -> str:
@@ -75,13 +66,13 @@ def series_to_json(series: TransportSeries, approx: TransportSeries | None = Non
 
 def matrix_to_csv(matrix: ProbabilityMatrix) -> str:
     """Bare n x n grid, row k, column j."""
-    entries = clamp_probabilities(matrix.entries, matrix.quantity)
+    entries = np.clip(matrix.entries, 0.0, 1.0)
     lines = [",".join(fmt_number(x) for x in row) for row in entries]
     return "\n".join(lines) + "\n"
 
 
 def matrix_to_json(matrix: ProbabilityMatrix) -> str:
-    entries = clamp_probabilities(matrix.entries, matrix.quantity)
+    entries = np.clip(matrix.entries, 0.0, 1.0)
     obj = {
         "quantity": matrix.quantity,
         "n": matrix.n,

@@ -8,9 +8,7 @@ probabilities, the eigenvalue-only lower bound |alpha-bar(t)|^2 and its
 asymptote, and the dominant-degeneracy cosine approximation.
 
 Scalar time arguments give scalars; array arguments broadcast to arrays.
-Node labels are 1-based.  A scaling-and-squaring truncated power series of
-the matrix exponential is included as an independent test oracle for the
-spectral propagators.
+Node labels are 1-based.
 """
 
 from __future__ import annotations
@@ -36,13 +34,19 @@ MATRIX_QUANTITIES = ("classical_transition", "quantum_transition", "lta")
 # is a solver bug and must not be clamped away silently.
 PROB_SLACK = 1e-9
 
-_EXPM_SERIES_ORDER = 20
-_EXPM_SCALE_LIMIT = 0.5
+# A grid quotient (stop - start) / step within this relative distance of an
+# integer counts as landing on stop: 0.7 / 0.1 = 6.999999999999999.
+_GRID_SNAP = 1e-9
 
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform evaluation grid: floor((stop - start)/step) + 1 points."""
+    """Uniform evaluation grid from start in steps of step, up to stop.
+
+    The grid has floor((stop - start)/step) + 1 points, except that a
+    quotient within a relative 1e-9 of an integer is rounded to it, so a
+    stop that lies on the grid up to rounding is included.
+    """
 
     start: float
     stop: float
@@ -57,7 +61,12 @@ class TimeGrid:
             raise ValueError("grid step must exceed 1e-9")
 
     def times(self) -> np.ndarray:
-        count = int(np.floor((self.stop - self.start) / self.step)) + 1
+        quotient = (self.stop - self.start) / self.step
+        nearest = round(quotient)
+        if abs(quotient - nearest) <= _GRID_SNAP * max(1.0, abs(quotient)):
+            count = nearest + 1
+        else:
+            count = int(np.floor(quotient)) + 1
         return self.start + self.step * np.arange(count)
 
 
@@ -308,36 +317,3 @@ def series(
         raise ValueError(f"unknown quantity tag {quantity!r}")
     return TransportSeries(quantity=quantity, times=ts, values=values)
 
-
-def expm_oracle(matrix, t: float, kind: str) -> np.ndarray:
-    """Scaling-and-squaring truncated power series for e^{-tL} (classical) or
-    e^{-itL} (quantum).
-
-    The argument is halved until its max-abs entry is <= 0.5, the Taylor
-    series is summed to order 20, and the result squared back up.  This is a
-    validation oracle for the spectral propagators, not a production path.
-    """
-    a = np.asarray(getattr(matrix, "entries", matrix), dtype=float)
-    if kind == "classical":
-        b = -t * a
-    elif kind == "quantum":
-        b = -1j * t * a.astype(complex)
-    else:
-        raise ValueError(f"kind must be 'classical' or 'quantum', got {kind!r}")
-
-    scale = 0
-    norm = float(np.max(np.abs(b))) if b.size else 0.0
-    while norm > _EXPM_SCALE_LIMIT:
-        norm /= 2.0
-        scale += 1
-    b = b / (2.0**scale)
-
-    n = a.shape[0]
-    result = np.eye(n, dtype=b.dtype)
-    term = np.eye(n, dtype=b.dtype)
-    for order in range(1, _EXPM_SERIES_ORDER + 1):
-        term = term @ b / order
-        result = result + term
-    for _ in range(scale):
-        result = result @ result
-    return result

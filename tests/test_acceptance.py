@@ -17,12 +17,13 @@ from ctwalk.transport import (
     avg_return_quantum,
     chi_bar,
     chi_bar_lb,
-    expm_oracle,
     lta_matrix,
     propagator,
     series,
     transition_matrix,
 )
+
+from oracles import expm_oracle
 
 LB_TABLE = {"a": 0.10, "b": 0.12, "c": 0.22, "d": 0.40, "e": 0.66}
 

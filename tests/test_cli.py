@@ -113,6 +113,17 @@ class TestEvolve:
         for name in ("alpha_bar_sq.csv", "quantum_avg_return.csv"):
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
+    def test_grid_includes_stop_point(self, tmp_path, capsys):
+        code, _, _ = run(
+            capsys,
+            "evolve", "--graph", "path:4", "--times", "0:0.7:0.1", "--out", str(tmp_path),
+            "--quantities", "alpha_bar_sq",
+        )
+        assert code == 0
+        lines = (tmp_path / "alpha_bar_sq.csv").read_text().splitlines()
+        assert len(lines) == 9
+        assert lines[-1].split(",")[0] == "0.7"
+
     def test_bad_quantity(self, tmp_path, capsys):
         code, _, err = run(
             capsys,
@@ -216,6 +227,24 @@ class TestExitCodes:
         blocker.write_text("in the way")
         code, _, err = run(capsys, "gen", "--graph", "path:4", "--out", str(blocker))
         assert code == 4 and "i/o" in err
+
+    @pytest.mark.parametrize("broken", ["corrupted", "nan"])
+    def test_failed_residual_check_is_numerical_error(self, tmp_path, capsys, monkeypatch, broken):
+        lapack = np.linalg.eigh
+
+        def eigh(a):
+            w, v = lapack(a)
+            if broken == "nan":
+                return np.full_like(w, np.nan), np.full_like(v, np.nan)
+            return w, v + 1e-6
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        code, _, err = run(
+            capsys,
+            "evolve", "--graph", "path:5", "--times", "0:1:0.5", "--out", str(tmp_path),
+        )
+        assert code == 3 and "residual" in err
+        assert not list(tmp_path.iterdir())
 
     def test_usage_error_without_subcommand(self, capsys):
         assert main([]) == 2

@@ -11,7 +11,6 @@ from ctwalk.graphs import (
     gen_family,
     gen_path,
     gen_star,
-    hamiltonian,
     is_connected,
     laplacian,
     parse_edge_list,
@@ -116,14 +115,6 @@ class TestMatrices:
         a = adjacency(g).entries
         assert a.sum() == 2 * g.q
         assert np.all(np.diag(a) == 0)
-
-    def test_hamiltonian_equals_laplacian(self, family_graphs):
-        for g in family_graphs.values():
-            assert np.array_equal(hamiltonian(g).entries, laplacian(g).entries)
-
-    def test_path10_hamiltonian_diagonal(self):
-        m = hamiltonian(gen_family("a")).entries
-        assert np.array_equal(np.diag(m), [1] + [2] * 8 + [1])
 
 
 class TestConnectivity:

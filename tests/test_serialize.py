@@ -5,7 +5,6 @@ import pytest
 
 from ctwalk.analysis import EfficiencyReport
 from ctwalk.serialize import (
-    clamp_probabilities,
     fmt_number,
     matrix_to_csv,
     matrix_to_json,
@@ -40,12 +39,18 @@ class TestNumbers:
         assert fmt_number(1 / 3) == "0.333333333333333"
 
     def test_clamp_within_slack(self):
-        out = clamp_probabilities(np.array([-5e-10, 0.5, 1.0 + 5e-10]), "x")
-        assert out[0] == 0.0 and out[-1] == 1.0
+        ser = TransportSeries(
+            "quantum_pair", np.array([0.0, 1.0, 2.0]), np.array([-5e-10, 0.5, 1.0 + 5e-10])
+        )
+        assert series_to_csv(ser) == "t,value\n0,0\n1,0.5\n2,1\n"
+        m = ProbabilityMatrix(2, np.array([[1.0 + 5e-10, -5e-10], [-5e-10, 1.0]]), "lta")
+        assert matrix_to_csv(m) == "1,0\n0,1\n"
 
     def test_clamp_rejects_real_excursions(self):
-        with pytest.raises(ValueError, match="excursion"):
-            clamp_probabilities(np.array([0.0, 1.5]), "x")
+        with pytest.raises(ValueError, match="escape"):
+            TransportSeries("quantum_pair", np.array([0.0, 1.0]), np.array([0.0, 1.5]))
+        with pytest.raises(ValueError, match="escape"):
+            ProbabilityMatrix(2, np.array([[1.0, -1e-6], [0.0, 1.0]]), "lta")
 
 
 class TestSeriesExport:

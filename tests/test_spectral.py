@@ -3,11 +3,11 @@ import pytest
 
 from ctwalk.graphs import from_edge_list, gen_path, gen_star, laplacian
 from ctwalk.spectral import (
+    ConvergenceError,
     DegeneracyClass,
     cluster_degeneracies,
     eigendecompose,
     format_spectrum,
-    jacobi_eigh,
     symmetry_degree,
 )
 
@@ -57,17 +57,21 @@ class TestEigendecompose:
 
     def test_against_lapack_oracle(self):
         rng = np.random.default_rng(11)
-        for n in (2, 3, 5, 8, 12):
+        for n in (2, 3, 5, 8, 12, 40):
             a = rng.normal(size=(n, n))
             a = a + a.T
-            w, v = jacobi_eigh(a)
-            order = np.argsort(w)
-            w = w[order]
-            v = v[:, order]
+            s = eigendecompose(a)
             w_ref = np.linalg.eigvalsh(a)
-            assert np.max(np.abs(w - w_ref)) <= 1e-9
+            assert np.max(np.abs(s.eigenvalues - w_ref)) <= 1e-9
+            v = s.eigenvectors
             assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-12
-            assert np.max(np.abs(a @ v - v * w)) <= 1e-9
+            assert np.max(np.abs(a @ v - v * s.eigenvalues)) <= 1e-9
+
+    def test_n300_passes_residual_gate(self):
+        star = eigendecompose(laplacian(gen_star(300)))
+        assert [c.multiplicity for c in star.classes] == [1, 298, 1]
+        path = eigendecompose(laplacian(gen_path(300)))
+        assert all(c.multiplicity == 1 for c in path.classes)
 
     def test_plain_array_input(self):
         s = eigendecompose(np.array([[2.0, 0.0], [0.0, 1.0]]))
@@ -85,11 +89,35 @@ class TestEigendecompose:
         with pytest.raises(ValueError, match="deg_tol"):
             eigendecompose(np.eye(2), deg_tol=0.0)
 
-    def test_exhausted_sweep_budget_reports_residual(self):
-        from ctwalk.spectral import ConvergenceError
+    def test_residual_gate_rejects_corrupted_eigenvectors(self, monkeypatch):
+        lapack = np.linalg.eigh
 
+        def corrupted(a):
+            w, v = lapack(a)
+            v = v.copy()
+            v[:, 0] += 1e-6
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eigh", corrupted)
         with pytest.raises(ConvergenceError, match="residual"):
-            jacobi_eigh(laplacian(gen_path(5)).entries.astype(float), max_sweeps=0)
+            eigendecompose(laplacian(gen_path(5)))
+
+    def test_residual_gate_rejects_nan(self, monkeypatch):
+        def nans(a):
+            n = a.shape[0]
+            return np.full(n, np.nan), np.full((n, n), np.nan)
+
+        monkeypatch.setattr(np.linalg, "eigh", nans)
+        with pytest.raises(ConvergenceError, match="residual"):
+            eigendecompose(laplacian(gen_path(5)))
+
+    def test_lapack_failure_is_convergence_error(self, monkeypatch):
+        def fails(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fails)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            eigendecompose(laplacian(gen_path(5)))
 
     def test_deterministic_signs(self):
         m = laplacian(gen_star(10))

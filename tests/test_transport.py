@@ -16,7 +16,6 @@ from ctwalk.transport import (
     chi_bar,
     chi_bar_lb,
     classical_prob,
-    expm_oracle,
     lta_matrix,
     lta_pair,
     nearest_class,
@@ -26,6 +25,8 @@ from ctwalk.transport import (
     series,
     transition_matrix,
 )
+
+from oracles import expm_oracle
 
 # Classical propagator entry e^{-L}[0, 4] for the ten-node path, frozen from
 # an independent scipy.linalg.expm evaluation.
@@ -42,6 +43,16 @@ class TestTimeGrid:
             ts = TimeGrid(start, stop, step).times()
             assert len(ts) == int(np.floor((stop - start) / step)) + 1
             assert ts[0] == start
+
+    @pytest.mark.parametrize(
+        "stop, step, count, last",
+        [(0.7, 0.1, 8, 0.7), (0.3, 0.1, 4, 0.3), (1.0, 0.3, 4, 0.9),
+         (50.0, 0.01, 5001, 50.0), (50.0, 0.05, 1001, 50.0)],
+    )
+    def test_stop_point_on_grid_is_included(self, stop, step, count, last):
+        ts = TimeGrid(0.0, stop, step).times()
+        assert len(ts) == count
+        assert ts[-1] == pytest.approx(last, abs=1e-12)
 
     @pytest.mark.parametrize("args", [(-1, 1, 0.1), (0, 0, 0.1), (1, 0.5, 0.1), (0, 1, 0)])
     def test_validation(self, args):
