@@ -7,7 +7,9 @@ from .graphs import (
     Graph,
     LabeledMatrix,
     FAMILY_LABELS,
+    MAX_NODES,
     adjacency,
+    check_node_count,
     from_edge_list,
     format_edge_list,
     gen_broom,
@@ -32,6 +34,8 @@ from .spectral import (
     symmetry_degree,
 )
 from .transport import (
+    MAX_GRID_POINTS,
+    PAIR_QUANTITIES,
     QUANTITIES,
     ProbabilityMatrix,
     TimeGrid,
@@ -46,6 +50,8 @@ from .transport import (
     lta_matrix,
     lta_pair,
     nearest_class,
+    pair_kernel,
+    pair_table,
     propagator,
     quantum_amplitude,
     quantum_prob,

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import analysis, graphs, serialize, transport
 from .spectral import DEFAULT_DEG_TOL, ConvergenceError, eigendecompose, symmetry_degree
-from .transport import QUANTITIES, TimeGrid
+from .transport import PAIR_QUANTITIES, QUANTITIES, TimeGrid
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -122,9 +122,10 @@ def cmd_evolve(config: RunConfig) -> int:
     """Emit the selected transport series over the configured grid.
 
     Pair quantities produce one file per target node k (start node fixed by
-    the config); when both alpha_bar_sq and its approximation are selected
-    they share one file with an extra column, the class for the approximation
-    being the one nearest eigenvalue 1.
+    the config), all from one pair table; when both alpha_bar_sq and its
+    approximation are selected they share one file with an extra column, the
+    class for the approximation being the one nearest eigenvalue 1.  The
+    time column is formatted once and shared by every file.
     """
     g = resolve_graph(config.graph_source)
     if not (1 <= config.start_node <= g.n):
@@ -133,40 +134,38 @@ def cmd_evolve(config: RunConfig) -> int:
     _prepare_out_dir(config.out_dir)
 
     write_series = serialize.series_to_csv if config.fmt == "csv" else serialize.series_to_json
-    ext = config.fmt
+    ts = config.grid.times()
+    time_text = serialize.format_numbers(ts)
     co_emit = "alpha_bar_sq" in config.quantities and "approx_alpha_bar_sq" in config.quantities
     approx_class = transport.nearest_class(s, 1.0)
 
     written = []
+
+    def emit(name: str, content: str) -> None:
+        path = config.out_dir / f"{name}.{config.fmt}"
+        _write(path, content)
+        written.append(path)
+
+    def emit_pairs(quantity: str) -> None:
+        # Local, so the table is freed before the next one is built.
+        table = transport.pair_table(s, quantity, config.start_node, ts)
+        for k, row in enumerate(table, start=1):
+            content = serialize.render_series(config.fmt, quantity, time_text, row)
+            emit(f"{quantity}_k{k}_j{config.start_node}", content)
+
     for quantity in QUANTITIES:
-        if quantity not in config.quantities:
+        if quantity not in config.quantities or (quantity == "approx_alpha_bar_sq" and co_emit):
             continue
-        if quantity in ("classical_pair", "quantum_pair"):
-            for k in range(1, g.n + 1):
-                ser = transport.series(s, config.grid, quantity, k=k, j=config.start_node)
-                path = config.out_dir / f"{quantity}_k{k}_j{config.start_node}.{ext}"
-                _write(path, write_series(ser))
-                written.append(path)
-        elif quantity == "alpha_bar_sq" and co_emit:
-            ser = transport.series(s, config.grid, quantity)
+        if quantity in PAIR_QUANTITIES:
+            emit_pairs(quantity)
+            continue
+        ser = transport.series(s, config.grid, quantity, class_index=approx_class)
+        approx = None
+        if quantity == "alpha_bar_sq" and co_emit:
             approx = transport.series(
                 s, config.grid, "approx_alpha_bar_sq", class_index=approx_class
             )
-            path = config.out_dir / f"alpha_bar_sq.{ext}"
-            _write(path, write_series(ser, approx))
-            written.append(path)
-        elif quantity == "approx_alpha_bar_sq":
-            if co_emit:
-                continue
-            ser = transport.series(s, config.grid, quantity, class_index=approx_class)
-            path = config.out_dir / f"{quantity}.{ext}"
-            _write(path, write_series(ser))
-            written.append(path)
-        else:
-            ser = transport.series(s, config.grid, quantity)
-            path = config.out_dir / f"{quantity}.{ext}"
-            _write(path, write_series(ser))
-            written.append(path)
+        emit(quantity, write_series(ser, approx, time_text=time_text))
     for path in written:
         print(path)
     return EXIT_OK

@@ -16,6 +16,11 @@ import numpy as np
 
 FAMILY_LABELS = ("a", "b", "c", "d", "e")
 
+# Largest accepted node count.  The package targets graphs of a few hundred
+# nodes and builds dense n x n matrices, so larger inputs are rejected before
+# anything of size n is allocated.
+MAX_NODES = 4096
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -62,14 +67,23 @@ class LabeledMatrix:
         object.__setattr__(self, "entries", entries)
 
 
+def check_node_count(n) -> None:
+    """Reject a node count that is not a positive integer or exceeds
+    MAX_NODES."""
+    if not isinstance(n, (int, np.integer)) or n <= 0:
+        raise ValueError(f"node count must be a positive integer, got {n!r}")
+    if n > MAX_NODES:
+        raise ValueError(f"node count {n} exceeds the limit of {MAX_NODES}")
+
+
 def from_edge_list(n: int, pairs) -> Graph:
     """Build a Graph from 1-based (u, v) pairs.
 
-    Rejects self-loops, out-of-range labels and non-positive n; duplicate
-    edges (in either orientation) are merged silently.
+    Rejects self-loops, out-of-range labels and node counts that
+    check_node_count rejects; duplicate edges (in either orientation) are
+    merged silently.
     """
-    if not isinstance(n, (int, np.integer)) or n <= 0:
-        raise ValueError(f"node count must be a positive integer, got {n!r}")
+    check_node_count(n)
     edges = set()
     for u, v in pairs:
         u, v = int(u), int(v)
@@ -85,6 +99,7 @@ def gen_path(n: int) -> Graph:
     """Path 1-2-...-n."""
     if n < 2:
         raise ValueError("path needs n >= 2")
+    check_node_count(n)
     return from_edge_list(n, [(i, i + 1) for i in range(1, n)])
 
 
@@ -92,6 +107,7 @@ def gen_star(n: int) -> Graph:
     """Star with hub 1 joined to 2..n."""
     if n < 2:
         raise ValueError("star needs n >= 2")
+    check_node_count(n)
     return from_edge_list(n, [(1, i) for i in range(2, n + 1)])
 
 
@@ -99,6 +115,7 @@ def gen_cycle(n: int) -> Graph:
     """Cycle: path 1..n closed by the edge (1, n)."""
     if n < 2:
         raise ValueError("cycle needs n >= 2")
+    check_node_count(n)
     return from_edge_list(n, [(i, i + 1) for i in range(1, n)] + [(1, n)])
 
 
@@ -114,6 +131,7 @@ def gen_broom(path_len: int, leaf_count: int) -> Graph:
     if leaf_count < 0:
         raise ValueError("broom needs leaf_count >= 0")
     n = path_len + leaf_count
+    check_node_count(n)
     pairs = [(i, i + 1) for i in range(1, path_len)]
     pairs += [(path_len, path_len + j) for j in range(1, leaf_count + 1)]
     return from_edge_list(n, pairs)
@@ -202,6 +220,7 @@ def parse_edge_list(text: str) -> Graph:
             if len(tokens) != 2 or tokens[0] != "n":
                 raise ValueError(f"line {lineno}: expected header 'n <count>', got {line!r}")
             n = int(tokens[1])
+            check_node_count(n)
             continue
         if len(tokens) != 2:
             raise ValueError(f"line {lineno}: expected 'u v', got {line!r}")

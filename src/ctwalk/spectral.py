@@ -113,7 +113,8 @@ def eigendecompose(matrix, deg_tol: float = DEFAULT_DEG_TOL) -> Spectrum:
 
     Eigenvalues come back ascending with sign-fixed orthonormal eigenvectors
     and the degeneracy-class partition at tolerance ``deg_tol``.  ``deg_tol``
-    also bounds the accepted input asymmetry.
+    also bounds the accepted input asymmetry.  A non-finite entry is a
+    ValueError naming its 0-based [row, column].
 
     Raises ConvergenceError when LAPACK fails or its result fails the
     residual check (see the module docstring).
@@ -123,6 +124,10 @@ def eigendecompose(matrix, deg_tol: float = DEFAULT_DEG_TOL) -> Spectrum:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if deg_tol <= 0:
         raise ValueError("deg_tol must be positive")
+    finite = np.isfinite(a)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ValueError(f"matrix entry [{row}, {col}] is not finite ({a[row, col]})")
     asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
     if asym > deg_tol:
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")

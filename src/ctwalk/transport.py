@@ -7,12 +7,20 @@ numerical time integration anywhere in this module), average return
 probabilities, the eigenvalue-only lower bound |alpha-bar(t)|^2 and its
 asymptote, and the dominant-degeneracy cosine approximation.
 
+Time phases e^{-Et} and e^{-iEt} are evaluated in one place, ``_phases``,
+once per (spectrum, grid, kind) for each quantity.  Pair quantities go
+through one kernel, ``pair_kernel``: the per-pair functions pass it a single
+weight row, and ``pair_table`` passes the rows of every target node at once,
+so all n series of one start node cost one phase table and one matrix
+product.
+
 Scalar time arguments give scalars; array arguments broadcast to arrays.
 Node labels are 1-based.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +36,8 @@ QUANTITIES = (
     "approx_alpha_bar_sq",
 )
 
+PAIR_QUANTITIES = ("classical_pair", "quantum_pair")
+
 MATRIX_QUANTITIES = ("classical_transition", "quantum_transition", "lta")
 
 # Largest tolerated excursion of a probability outside [0, 1]; anything worse
@@ -38,6 +48,10 @@ PROB_SLACK = 1e-9
 # integer counts as landing on stop: 0.7 / 0.1 = 6.999999999999999.
 _GRID_SNAP = 1e-9
 
+# Largest accepted grid, 200 times the CLI's default 0:50:0.01; a larger one
+# is rejected before any array is allocated.
+MAX_GRID_POINTS = 10**6
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -45,7 +59,8 @@ class TimeGrid:
 
     The grid has floor((stop - start)/step) + 1 points, except that a
     quotient within a relative 1e-9 of an integer is rounded to it, so a
-    stop that lies on the grid up to rounding is included.
+    stop that lies on the grid up to rounding is included.  A grid of more
+    than MAX_GRID_POINTS points is rejected when it is built.
     """
 
     start: float
@@ -53,21 +68,30 @@ class TimeGrid:
     step: float
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.start, self.stop, self.step)):
+            raise ValueError("grid start, stop and step must be finite")
         if self.start < 0:
             raise ValueError("grid start must be >= 0")
         if self.stop <= self.start:
             raise ValueError("grid stop must exceed start")
         if self.step <= 1e-9:
             raise ValueError("grid step must exceed 1e-9")
+        if self.size > MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid has {self.size} points, more than the limit of {MAX_GRID_POINTS}"
+            )
 
-    def times(self) -> np.ndarray:
+    @property
+    def size(self) -> int:
+        """Number of grid points."""
         quotient = (self.stop - self.start) / self.step
         nearest = round(quotient)
         if abs(quotient - nearest) <= _GRID_SNAP * max(1.0, abs(quotient)):
-            count = nearest + 1
-        else:
-            count = int(np.floor(quotient)) + 1
-        return self.start + self.step * np.arange(count)
+            return nearest + 1
+        return math.floor(quotient) + 1
+
+    def times(self) -> np.ndarray:
+        return self.start + self.step * np.arange(self.size)
 
 
 @dataclass(frozen=True)
@@ -149,20 +173,48 @@ def _class_mults_values(s: Spectrum):
     return mult, vals
 
 
+def _phases(values: np.ndarray, ts, kind: str) -> np.ndarray:
+    """The time phases e^{-v t} (classical) or e^{-i v t} (quantum) for every
+    value v and time t; shape values.shape + ts.shape.  Evaluated in place,
+    so the table is the only array of its size alive on return."""
+    if kind == "classical":
+        phases = np.multiply.outer(values, ts)
+        np.negative(phases, out=phases)
+    elif kind == "quantum":
+        phases = -1j * np.multiply.outer(values, ts)
+    else:
+        raise ValueError(f"kind must be 'classical' or 'quantum', got {kind!r}")
+    return np.exp(phases, out=phases)
+
+
+def pair_kernel(weights, eigenvalues, t, kind: str) -> np.ndarray:
+    """sum_n weights[..., n] e^{-E_n t} (classical) or e^{-i E_n t} (quantum)
+    for every weight row, as one product with a single phase table.
+
+    With weight rows w_k = Q[k, :] * Q[j, :] the rows of the result are
+    P_{k,j}(t) (classical) or the amplitudes alpha_{k,j}(t) (quantum).
+    """
+    ts = _as_times(t, require_nonneg=kind == "classical")
+    phases = _phases(np.asarray(eigenvalues, dtype=float), ts, kind)
+    weights = np.asarray(weights, dtype=float)
+    return (weights if kind == "classical" else weights.astype(complex)) @ phases
+
+
+def _pair_weights(s: Spectrum, k, j: int) -> np.ndarray:
+    """<k|q_n><q_n|j> for target row(s) k (0-based) and start index j."""
+    return s.eigenvectors[k] * s.eigenvectors[j]
+
+
 def classical_prob(s: Spectrum, k: int, j: int, t):
     """P_{k,j}(t) = sum_n e^{-t E_n} <k|q_n><q_n|j>."""
     ki, ji = _node_index(s, k, "k"), _node_index(s, j, "j")
-    ts = _as_times(t, require_nonneg=True)
-    w = s.eigenvectors[ki] * s.eigenvectors[ji]
-    return _scalar_like(t, w @ np.exp(-np.multiply.outer(s.eigenvalues, ts)))
+    return _scalar_like(t, pair_kernel(_pair_weights(s, ki, ji), s.eigenvalues, t, "classical"))
 
 
 def quantum_amplitude(s: Spectrum, k: int, j: int, t):
     """alpha_{k,j}(t) = <k|e^{-iHt}|j> = sum_n e^{-i t E_n} <k|q_n><q_n|j>."""
     ki, ji = _node_index(s, k, "k"), _node_index(s, j, "j")
-    ts = _as_times(t, require_nonneg=False)
-    w = s.eigenvectors[ki] * s.eigenvectors[ji]
-    amp = w.astype(complex) @ np.exp(-1j * np.multiply.outer(s.eigenvalues, ts))
+    amp = pair_kernel(_pair_weights(s, ki, ji), s.eigenvalues, t, "quantum")
     return complex(amp) if np.isscalar(t) or np.ndim(t) == 0 else amp
 
 
@@ -172,17 +224,30 @@ def quantum_prob(s: Spectrum, k: int, j: int, t):
     return _scalar_like(t, np.abs(np.asarray(amp)) ** 2)
 
 
+def pair_table(s: Spectrum, quantity: str, j: int, t) -> np.ndarray:
+    """P_{k,j}(t) (classical_pair) or pi_{k,j}(t) (quantum_pair) for every
+    target node k = 1..n: row k-1 holds target k.  One phase table, one
+    matrix product and one probability-bound check for the whole table;
+    values stay unclamped."""
+    if quantity not in PAIR_QUANTITIES:
+        raise ValueError(f"pair_table needs one of {PAIR_QUANTITIES}, got {quantity!r}")
+    ji = _node_index(s, j, "j")
+    kind = quantity.partition("_")[0]
+    table = pair_kernel(_pair_weights(s, slice(None), ji), s.eigenvalues, t, kind)
+    if kind == "quantum":
+        table = np.abs(table) ** 2
+    _check_prob_bounds(table, quantity)
+    return table
+
+
 def propagator(s: Spectrum, t: float, kind: str) -> np.ndarray:
     """Spectral-path propagator: e^{-tL} (classical, real) or e^{-itL}
     (quantum, complex)."""
+    if kind == "classical" and t < 0:
+        raise ValueError("classical propagation requires t >= 0 (semigroup, not a group)")
     q = s.eigenvectors
-    if kind == "classical":
-        if t < 0:
-            raise ValueError("classical propagation requires t >= 0 (semigroup, not a group)")
-        return (q * np.exp(-t * s.eigenvalues)) @ q.T
-    if kind == "quantum":
-        return (q.astype(complex) * np.exp(-1j * t * s.eigenvalues)) @ q.T
-    raise ValueError(f"kind must be 'classical' or 'quantum', got {kind!r}")
+    phases = _phases(s.eigenvalues, t, kind)
+    return (q * phases if kind == "classical" else q.astype(complex) * phases) @ q.T
 
 
 def transition_matrix(s: Spectrum, t: float, kind: str) -> ProbabilityMatrix:
@@ -222,17 +287,13 @@ def avg_return_classical(s: Spectrum, t):
     """P-bar(t) = (1/N) sum over classes of D_c e^{-t E_c}; eigenvalues only."""
     ts = _as_times(t, require_nonneg=True)
     mult, vals = _class_mults_values(s)
-    out = (mult @ np.exp(-np.multiply.outer(vals, ts))) / s.n
-    return _scalar_like(t, out)
+    return _scalar_like(t, (mult @ _phases(vals, ts, "classical")) / s.n)
 
 
 def avg_return_quantum(s: Spectrum, t):
     """pi-bar(t) = (1/N) sum_j |alpha_{j,j}(t)|^2; needs the eigenvectors."""
-    ts = _as_times(t, require_nonneg=False)
-    weights = s.eigenvectors**2  # [j, n]: |<j|q_n>|^2
-    amps = weights.astype(complex) @ np.exp(-1j * np.multiply.outer(s.eigenvalues, ts))
-    out = np.mean(np.abs(amps) ** 2, axis=0)
-    return _scalar_like(t, out)
+    amps = pair_kernel(s.eigenvectors**2, s.eigenvalues, t, "quantum")  # alpha_{j,j}(t)
+    return _scalar_like(t, np.mean(np.abs(amps) ** 2, axis=0))
 
 
 def alpha_bar_sq(s: Spectrum, t):
@@ -240,7 +301,7 @@ def alpha_bar_sq(s: Spectrum, t):
     the eigenvalue-only lower bound of pi-bar(t)."""
     ts = _as_times(t, require_nonneg=False)
     mult, vals = _class_mults_values(s)
-    amp = (mult.astype(complex) @ np.exp(-1j * np.multiply.outer(vals, ts))) / s.n
+    amp = (mult.astype(complex) @ _phases(vals, ts, "quantum")) / s.n
     return _scalar_like(t, np.abs(amp) ** 2)
 
 
@@ -298,7 +359,7 @@ def series(
     the degeneracy-class index.
     """
     ts = grid.times()
-    if quantity in ("classical_pair", "quantum_pair"):
+    if quantity in PAIR_QUANTITIES:
         if k is None or j is None:
             raise ValueError(f"{quantity} requires node labels k and j")
         fn = classical_prob if quantity == "classical_pair" else quantum_prob

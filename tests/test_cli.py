@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from ctwalk.cli import main
-from ctwalk.graphs import format_edge_list, gen_family, read_edge_list
+from ctwalk.graphs import (
+    MAX_NODES,
+    format_edge_list,
+    gen_cycle,
+    gen_family,
+    laplacian,
+    read_edge_list,
+)
+from ctwalk.spectral import eigendecompose
+from ctwalk.transport import classical_prob, quantum_prob
 
 
 def run(capsys, *argv):
@@ -123,6 +132,50 @@ class TestEvolve:
         lines = (tmp_path / "alpha_bar_sq.csv").read_text().splitlines()
         assert len(lines) == 9
         assert lines[-1].split(",")[0] == "0.7"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_pair_files_agree_with_per_pair_functions(self, tmp_path, capsys, fmt):
+        code, _, _ = run(
+            capsys,
+            "evolve", "--graph", "cycle:7", "--times", "0:6:0.25", "--out", str(tmp_path),
+            "--quantities", "classical_pair,quantum_pair", "--start-node", "3",
+            "--format", fmt,
+        )
+        assert code == 0
+        s = eigendecompose(laplacian(gen_cycle(7)))
+        for quantity, per_pair in (("classical_pair", classical_prob),
+                                   ("quantum_pair", quantum_prob)):
+            for k in range(1, 8):
+                path = tmp_path / f"{quantity}_k{k}_j3.{fmt}"
+                if fmt == "csv":
+                    lines = path.read_text().splitlines()
+                    assert lines[0] == "t,value"
+                    t, v = np.array([[float(x) for x in line.split(",")] for line in lines[1:]]).T
+                else:
+                    obj = json.loads(path.read_text())
+                    assert obj["quantity"] == quantity
+                    t, v = np.array(obj["times"]), np.array(obj["values"])
+                assert t.size == 25 and t[-1] == 6.0
+                assert np.max(np.abs(v - per_pair(s, k, 3, t))) <= 1e-13
+
+    def test_pair_files_deterministic_bytes(self, tmp_path, capsys):
+        args = ("evolve", "--graph", "family:c", "--times", "0:10:0.1",
+                "--quantities", "classical_pair,quantum_pair", "--start-node", "4")
+        run(capsys, *args, "--out", str(tmp_path / "one"))
+        run(capsys, *args, "--out", str(tmp_path / "two"))
+        names = sorted(p.name for p in (tmp_path / "one").iterdir())
+        assert len(names) == 20
+        for name in names:
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
+    def test_oversized_grid_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, _, err = run(
+            capsys, "evolve", "--graph", "path:3", "--times", "0:1e15:0.01", "--out", str(out)
+        )
+        assert code == 2 and "limit" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_bad_quantity(self, tmp_path, capsys):
         code, _, err = run(
@@ -245,6 +298,21 @@ class TestExitCodes:
         )
         assert code == 3 and "residual" in err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["gen", "evolve", "lta", "report"])
+    def test_oversized_spec_is_usage_error(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        code, _, err = run(capsys, command, "--graph", f"star:{MAX_NODES + 1}", "--out", str(out))
+        assert code == 2 and "exceeds the limit" in err
+        assert not out.exists()
+
+    def test_oversized_edge_list_header_is_usage_error(self, tmp_path, capsys):
+        edge_file = tmp_path / "big.edges"
+        edge_file.write_text("n 100000\n1 2\n")
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "evolve", "--graph", str(edge_file), "--out", str(out))
+        assert code == 2 and "exceeds the limit" in err
+        assert not out.exists()
 
     def test_usage_error_without_subcommand(self, capsys):
         assert main([]) == 2

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from ctwalk import graphs
 from ctwalk.graphs import (
     FAMILY_LABELS,
+    MAX_NODES,
     adjacency,
     format_edge_list,
     from_edge_list,
@@ -40,6 +42,34 @@ class TestFromEdgeList:
     def test_nonpositive_n_rejected(self):
         with pytest.raises(ValueError):
             from_edge_list(0, [])
+
+    def test_node_limit(self):
+        assert from_edge_list(MAX_NODES, [(1, MAX_NODES)]).n == MAX_NODES
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            from_edge_list(MAX_NODES + 1, [(1, 2)])
+
+
+class TestNodeLimit:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda n: gen_path(n),
+            lambda n: gen_star(n),
+            lambda n: gen_cycle(n),
+            lambda n: gen_broom(n - 3, 3),
+        ],
+    )
+    def test_generators_check_before_building_pairs(self, call, monkeypatch):
+        def built(*args):
+            raise AssertionError("the pair list was built before the node count was checked")
+
+        monkeypatch.setattr(graphs, "from_edge_list", built)
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            call(MAX_NODES + 1)
+
+    def test_header_is_checked_before_pair_lines(self):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            parse_edge_list(f"n {MAX_NODES + 1}\nnot a pair line\n")
 
 
 class TestGenerators:

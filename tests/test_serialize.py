@@ -6,10 +6,12 @@ import pytest
 from ctwalk.analysis import EfficiencyReport
 from ctwalk.serialize import (
     fmt_number,
+    format_numbers,
     matrix_to_csv,
     matrix_to_json,
     report_to_json,
     report_to_text,
+    render_series,
     series_to_csv,
     series_to_json,
 )
@@ -51,6 +53,70 @@ class TestNumbers:
             TransportSeries("quantum_pair", np.array([0.0, 1.0]), np.array([0.0, 1.5]))
         with pytest.raises(ValueError, match="escape"):
             ProbabilityMatrix(2, np.array([[1.0, -1e-6], [0.0, 1.0]]), "lta")
+
+
+EDGE_VALUES = [0.0, 1.0, -0.0, 5e-324, 1e-5, 0.1 + 0.2, 1e16, 1 / 3, 2.5e-7, 123456789012345.6,
+               -0.28, -1e-12, -3.0000000000000004, np.nextafter(1.0, 0.0), 1e-300, 1e300]
+
+
+def _fstring_csv(header, *columns):
+    rows = [",".join(f"{x:.15g}" for x in row) for row in zip(*columns)]
+    return "\n".join([header] + rows) + "\n"
+
+
+class TestOneShotFormatter:
+    def test_edge_values_match_fstring(self):
+        assert format_numbers(np.array(EDGE_VALUES)) == [f"{x:.15g}" for x in EDGE_VALUES]
+        assert [fmt_number(x) for x in EDGE_VALUES] == [f"{x:.15g}" for x in EDGE_VALUES]
+
+    def test_random_magnitudes_match_fstring(self):
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal(2000) * 10.0 ** rng.integers(-30, 30, size=2000)
+        assert format_numbers(values) == [f"{x:.15g}" for x in values]
+
+    def test_empty_and_table_shapes(self):
+        assert format_numbers(np.array([])) == []
+        table = np.array([[0.5, 1e-5], [1 / 3, 0.0]])
+        assert format_numbers(table) == ["0.5", "1e-05", "0.333333333333333", "0"]
+
+    def test_csv_with_approx_matches_fstring(self):
+        ts = np.linspace(0.0, 1.5, len(EDGE_VALUES))
+        values = np.clip(np.abs(np.array(EDGE_VALUES)), 0.0, 1.0)
+        approx = np.array(EDGE_VALUES) - 0.5
+        ser = TransportSeries("alpha_bar_sq", ts, values)
+        apx = TransportSeries("approx_alpha_bar_sq", ts, approx)
+        assert series_to_csv(ser) == _fstring_csv("t,value", ts, values)
+        assert series_to_csv(ser, apx) == _fstring_csv("t,value,approx", ts, values, approx)
+        assert series_to_csv(apx) == _fstring_csv("t,value", ts, approx)
+
+    def test_shared_time_column(self):
+        ts = np.linspace(0.0, 3.0, 31)
+        ser = TransportSeries("quantum_pair", ts, np.cos(ts) ** 2)
+        text = format_numbers(ts)
+        assert series_to_csv(ser, time_text=text) == series_to_csv(ser)
+        assert series_to_json(ser, time_text=text) == series_to_json(ser)
+        assert render_series("csv", "quantum_pair", text, ser.values) == series_to_csv(ser)
+        assert render_series("json", "quantum_pair", text, ser.values) == series_to_json(ser)
+
+    def test_render_validation(self):
+        with pytest.raises(ValueError, match="time column"):
+            render_series("csv", "quantum_pair", ["0", "1"], np.array([0.5]))
+        with pytest.raises(ValueError, match="fmt"):
+            render_series("xml", "quantum_pair", ["0"], np.array([0.5]))
+
+    def test_json_values_are_rounded_floats(self):
+        values = np.array([0.1 + 0.2, 1 / 3, 1e-5])
+        ser = TransportSeries("alpha_bar_sq", np.arange(3.0), values)
+        obj = json.loads(series_to_json(ser))
+        assert obj["values"] == [float(f"{x:.15g}") for x in values]
+
+    def test_matrix_csv_matches_fstring(self):
+        rng = np.random.default_rng(3)
+        entries = rng.random((5, 5))
+        m = ProbabilityMatrix(5, entries, "lta")
+        assert matrix_to_csv(m) == "".join(
+            ",".join(f"{x:.15g}" for x in row) + "\n" for row in entries
+        )
 
 
 class TestSeriesExport:

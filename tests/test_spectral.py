@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,16 @@ class TestEigendecompose:
     def test_rejects_asymmetry(self):
         with pytest.raises(ValueError, match="not symmetric"):
             eigendecompose(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        a = np.eye(3)
+        a[1, 2] = bad
+        a[2, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"entry \[1, 2\] is not finite"):
+                eigendecompose(a)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
 
 from ctwalk.analysis import running_time_average
-from ctwalk.graphs import from_edge_list, gen_path, gen_star, laplacian
+from ctwalk.graphs import from_edge_list, gen_broom, gen_cycle, gen_path, gen_star, laplacian
 from ctwalk.spectral import eigendecompose
 from ctwalk.transport import (
+    MAX_GRID_POINTS,
     ProbabilityMatrix,
     TimeGrid,
     TransportSeries,
@@ -19,6 +22,8 @@ from ctwalk.transport import (
     lta_matrix,
     lta_pair,
     nearest_class,
+    pair_kernel,
+    pair_table,
     propagator,
     quantum_amplitude,
     quantum_prob,
@@ -57,6 +62,20 @@ class TestTimeGrid:
     @pytest.mark.parametrize("args", [(-1, 1, 0.1), (0, 0, 0.1), (1, 0.5, 0.1), (0, 1, 0)])
     def test_validation(self, args):
         with pytest.raises(ValueError):
+            TimeGrid(*args)
+
+    def test_point_limit(self):
+        assert TimeGrid(0, MAX_GRID_POINTS - 1, 1).size == MAX_GRID_POINTS
+        with pytest.raises(ValueError, match="limit"):
+            TimeGrid(0, MAX_GRID_POINTS, 1)
+        with pytest.raises(ValueError, match="limit"):
+            TimeGrid(0, 1e15, 0.01)
+
+    @pytest.mark.parametrize(
+        "args", [(0, np.inf, 1), (0, np.nan, 1), (np.nan, 1, 0.1), (0, 1, np.inf)]
+    )
+    def test_non_finite_bounds(self, args):
+        with pytest.raises(ValueError, match="finite"):
             TimeGrid(*args)
 
 
@@ -121,6 +140,70 @@ class TestPairwise:
             classical_prob(k2_spectrum, 0, 1, 1.0)
         with pytest.raises(ValueError, match="j must be"):
             quantum_prob(k2_spectrum, 1, 3, 1.0)
+
+
+PAIR_GRAPHS = {
+    "path": gen_path(9),
+    "star": gen_star(8),
+    "cycle": gen_cycle(7),
+    "broom": gen_broom(4, 5),
+}
+SAMPLE_TIMES = np.array([0.0, 0.25, 1.0, 3.7, 12.0])
+
+
+def _check_pair_table(g, j):
+    """The all-targets table against the per-pair functions (1e-13), the
+    expm oracle at SAMPLE_TIMES (1e-10), and conservation over targets."""
+    s = eigendecompose(laplacian(g))
+    ts = np.linspace(0.0, 20.0, 201)
+    for quantity, per_pair, kind in (
+        ("classical_pair", classical_prob, "classical"),
+        ("quantum_pair", quantum_prob, "quantum"),
+    ):
+        table = pair_table(s, quantity, j, ts)
+        assert table.shape == (g.n, ts.size)
+        for k in range(1, g.n + 1):
+            assert np.max(np.abs(table[k - 1] - per_pair(s, k, j, ts))) <= 1e-13
+        assert np.max(np.abs(table.sum(axis=0) - 1.0)) <= 1e-12
+        sampled = pair_table(s, quantity, j, SAMPLE_TIMES)
+        for col, t in enumerate(SAMPLE_TIMES):
+            u = expm_oracle(laplacian(g), t, kind)[:, j - 1]
+            oracle = u.real if kind == "classical" else np.abs(u) ** 2
+            assert np.max(np.abs(sampled[:, col] - oracle)) <= 1e-10
+
+
+class TestPairTable:
+    @pytest.mark.parametrize("name", sorted(PAIR_GRAPHS))
+    def test_matches_per_pair_and_oracle(self, name):
+        g = PAIR_GRAPHS[name]
+        for j in (1, g.n // 2, g.n):
+            _check_pair_table(g, j)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_random_tree(self, data):
+        n = data.draw(st.integers(2, 30))
+        g = from_edge_list(n, [(data.draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)])
+        _check_pair_table(g, data.draw(st.integers(1, n)))
+
+    def test_single_row_kernel_is_the_per_pair_function(self, family_spectra):
+        s = family_spectra["c"]
+        ts = np.linspace(0, 5, 11)
+        w = s.eigenvectors[2] * s.eigenvectors[6]
+        assert np.array_equal(pair_kernel(w, s.eigenvalues, ts, "classical"),
+                              classical_prob(s, 3, 7, ts))
+        assert np.array_equal(pair_kernel(w, s.eigenvalues, ts, "quantum"),
+                              quantum_amplitude(s, 3, 7, ts))
+
+    def test_validation(self, k2_spectrum):
+        with pytest.raises(ValueError, match="pair_table needs"):
+            pair_table(k2_spectrum, "alpha_bar_sq", 1, [0.0])
+        with pytest.raises(ValueError, match="j must be"):
+            pair_table(k2_spectrum, "quantum_pair", 3, [0.0])
+        with pytest.raises(ValueError, match="t >= 0"):
+            pair_table(k2_spectrum, "classical_pair", 1, [-1.0])
+        with pytest.raises(ValueError, match="kind must be"):
+            pair_kernel([[1.0, 0.0]], k2_spectrum.eigenvalues, [0.0], "thermal")
 
 
 class TestTransitionMatrix:
