@@ -5,7 +5,6 @@ efficiency diagnostics."""
 
 from .graphs import (
     Graph,
-    LabeledMatrix,
     FAMILY_LABELS,
     MAX_NODES,
     adjacency,
@@ -34,6 +33,7 @@ from .spectral import (
     symmetry_degree,
 )
 from .transport import (
+    DEFAULT_GRID,
     MAX_GRID_POINTS,
     PAIR_QUANTITIES,
     QUANTITIES,
@@ -60,7 +60,6 @@ from .transport import (
 )
 from .analysis import (
     EfficiencyReport,
-    ReportConfig,
     VERDICTS,
     decay_slope,
     efficiency_report,

@@ -1,6 +1,11 @@
 """Efficiency diagnostics on transport series: power-law slope fits, running
 time averages, equipartition timing, and the per-graph efficiency report
-contrasting classical and quantum walks."""
+contrasting classical and quantum walks.
+
+The report's slope window, equipartition band and verdict margin are the
+module constants SLOPE_WINDOW, EQUIPARTITION_BAND and VERDICT_MARGIN, set
+to replicate the ten-node study; only the time grid and the degeneracy
+tolerance are arguments of efficiency_report."""
 
 from __future__ import annotations
 
@@ -11,7 +16,7 @@ import numpy as np
 from .graphs import Graph, is_connected, laplacian
 from .spectral import DEFAULT_DEG_TOL, eigendecompose, symmetry_degree
 from . import transport
-from .transport import TimeGrid, TransportSeries
+from .transport import DEFAULT_GRID, TimeGrid, TransportSeries
 
 VERDICTS = ("quantum_more_efficient", "classical_more_efficient", "indeterminate")
 
@@ -22,15 +27,12 @@ VERDICTS = ("quantum_more_efficient", "classical_more_efficient", "indeterminate
 _VERDICT_TIE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ReportConfig:
-    """Knobs for efficiency_report; defaults replicate the ten-node study."""
-
-    grid: TimeGrid = TimeGrid(0.0, 50.0, 0.01)
-    slope_window: tuple[float, float] = (0.5, 5.0)
-    equipartition_band: float = 0.005
-    margin: float = 0.02
-    deg_tol: float = DEFAULT_DEG_TOL
+# Log-log fit window of both decay slopes, the band around 1/n that counts as
+# equipartition, and the margin above 1/n at which the saturation bound means
+# the quantum walk loses.
+SLOPE_WINDOW = (0.5, 5.0)
+EQUIPARTITION_BAND = 0.005
+VERDICT_MARGIN = 0.02
 
 
 @dataclass(frozen=True)
@@ -87,9 +89,9 @@ def running_time_average(series: TransportSeries) -> TransportSeries:
 def equipartition_time(series: TransportSeries, target: float, band: float):
     """Smallest grid time after which the series stays within
     [target - band, target + band] through the end of the grid; None when the
-    band is never held."""
-    if not (0.0 < target < 1.0):
-        raise ValueError("target must lie in (0, 1)")
+    band is never held.  A target of 1 is the asymptote of a one-node graph."""
+    if not (0.0 < target <= 1.0):
+        raise ValueError("target must lie in (0, 1]")
     if band <= 0:
         raise ValueError("band must be positive")
     outside = np.abs(series.values - target) > band
@@ -113,7 +115,9 @@ def verdict(chi_bar_lb: float, n: int, margin: float, classical_slope: float, qu
     return "indeterminate"
 
 
-def efficiency_report(g: Graph, config: ReportConfig | None = None, label: str = "") -> EfficiencyReport:
+def efficiency_report(
+    g: Graph, grid: TimeGrid = DEFAULT_GRID, deg_tol: float = DEFAULT_DEG_TOL, label: str = ""
+) -> EfficiencyReport:
     """Assemble the per-graph efficiency summary.
 
     The classical slope is fitted on the average return probability P-bar(t),
@@ -124,13 +128,12 @@ def efficiency_report(g: Graph, config: ReportConfig | None = None, label: str =
     """
     if not is_connected(g):
         raise ValueError("efficiency report requires a connected graph")
-    cfg = config or ReportConfig()
-    s = eigendecompose(laplacian(g), deg_tol=cfg.deg_tol)
+    s = eigendecompose(laplacian(g), deg_tol=deg_tol)
 
-    classical = transport.series(s, cfg.grid, "classical_avg_return")
-    lower_bound = transport.series(s, cfg.grid, "alpha_bar_sq")
-    classical_slope = decay_slope(classical, cfg.slope_window)
-    quantum_slope = decay_slope(lower_bound, cfg.slope_window)
+    classical = transport.series(s, grid, "classical_avg_return")
+    lower_bound = transport.series(s, grid, "alpha_bar_sq")
+    classical_slope = decay_slope(classical, SLOPE_WINDOW)
+    quantum_slope = decay_slope(lower_bound, SLOPE_WINDOW)
     lb = transport.chi_bar_lb(s)
 
     return EfficiencyReport(
@@ -143,6 +146,6 @@ def efficiency_report(g: Graph, config: ReportConfig | None = None, label: str =
         classical_slope=classical_slope,
         quantum_slope=quantum_slope,
         classical_asymptote=1.0 / g.n,
-        equipartition_time=equipartition_time(classical, 1.0 / g.n, cfg.equipartition_band),
-        verdict=verdict(lb, g.n, cfg.margin, classical_slope, quantum_slope),
+        equipartition_time=equipartition_time(classical, 1.0 / g.n, EQUIPARTITION_BAND),
+        verdict=verdict(lb, g.n, VERDICT_MARGIN, classical_slope, quantum_slope),
     )

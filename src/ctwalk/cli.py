@@ -17,14 +17,13 @@ from pathlib import Path
 
 from . import analysis, graphs, serialize, transport
 from .spectral import DEFAULT_DEG_TOL, ConvergenceError, eigendecompose, symmetry_degree
-from .transport import PAIR_QUANTITIES, QUANTITIES, TimeGrid
+from .transport import DEFAULT_GRID, PAIR_QUANTITIES, QUANTITIES, TimeGrid
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-DEFAULT_GRID = TimeGrid(0.0, 50.0, 0.01)
 DEFAULT_QUANTITIES = ("classical_avg_return", "quantum_avg_return", "alpha_bar_sq")
 
 _GENERATOR_PREFIXES = ("family:", "path:", "star:", "cycle:", "broom:")
@@ -133,7 +132,6 @@ def cmd_evolve(config: RunConfig) -> int:
     s = eigendecompose(graphs.laplacian(g), deg_tol=config.deg_tol)
     _prepare_out_dir(config.out_dir)
 
-    write_series = serialize.series_to_csv if config.fmt == "csv" else serialize.series_to_json
     ts = config.grid.times()
     time_text = serialize.format_numbers(ts)
     co_emit = "alpha_bar_sq" in config.quantities and "approx_alpha_bar_sq" in config.quantities
@@ -141,31 +139,27 @@ def cmd_evolve(config: RunConfig) -> int:
 
     written = []
 
-    def emit(name: str, content: str) -> None:
-        path = config.out_dir / f"{name}.{config.fmt}"
-        _write(path, content)
-        written.append(path)
-
-    def emit_pairs(quantity: str) -> None:
-        # Local, so the table is freed before the next one is built.
-        table = transport.pair_table(s, quantity, config.start_node, ts)
-        for k, row in enumerate(table, start=1):
-            content = serialize.render_series(config.fmt, quantity, time_text, row)
-            emit(f"{quantity}_k{k}_j{config.start_node}", content)
+    def emit(quantity: str, names, rows, approx=None) -> None:
+        # The rows arrive as an argument, so a pair table is freed on return,
+        # before the next one is built.
+        for name, values in zip(names, rows):
+            path = config.out_dir / f"{name}.{config.fmt}"
+            _write(path, serialize.render_series(config.fmt, quantity, time_text, values, approx))
+            written.append(path)
 
     for quantity in QUANTITIES:
         if quantity not in config.quantities or (quantity == "approx_alpha_bar_sq" and co_emit):
             continue
         if quantity in PAIR_QUANTITIES:
-            emit_pairs(quantity)
+            j = config.start_node
+            names = [f"{quantity}_k{k}_j{j}" for k in range(1, s.n + 1)]
+            emit(quantity, names, transport.pair_table(s, quantity, j, ts))
             continue
         ser = transport.series(s, config.grid, quantity, class_index=approx_class)
         approx = None
         if quantity == "alpha_bar_sq" and co_emit:
-            approx = transport.series(
-                s, config.grid, "approx_alpha_bar_sq", class_index=approx_class
-            )
-        emit(quantity, write_series(ser, approx, time_text=time_text))
+            approx = transport.approx_alpha_bar_sq(s, approx_class, ts)
+        emit(quantity, [quantity], [ser.values], approx)
     for path in written:
         print(path)
     return EXIT_OK
@@ -190,8 +184,7 @@ def cmd_lta(config: RunConfig) -> int:
 def cmd_report(config: RunConfig) -> int:
     """Emit the efficiency report as JSON and print the text table."""
     g = resolve_graph(config.graph_source)
-    cfg = analysis.ReportConfig(grid=config.grid, deg_tol=config.deg_tol)
-    report = analysis.efficiency_report(g, cfg, label=config.graph_source)
+    report = analysis.efficiency_report(g, config.grid, config.deg_tol, label=config.graph_source)
     _prepare_out_dir(config.out_dir)
     path = config.out_dir / "report.json"
     _write(path, serialize.report_to_json(report))

@@ -47,26 +47,6 @@ class Graph:
         return deg
 
 
-@dataclass(frozen=True)
-class LabeledMatrix:
-    """Dense symmetric integer matrix over the graph's nodes (adjacency,
-    degree, Laplacian, Hamiltonian).  Entry [i][j] belongs to node pair
-    (i+1, j+1)."""
-
-    n: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries)
-        if entries.shape != (self.n, self.n):
-            raise ValueError(f"entries must be {self.n}x{self.n}, got {entries.shape}")
-        if not np.array_equal(entries, entries.T):
-            raise ValueError("entries must be exactly symmetric")
-        entries = entries.copy()
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-
-
 def check_node_count(n) -> None:
     """Reject a node count that is not a positive integer or exceeds
     MAX_NODES."""
@@ -165,20 +145,24 @@ def gen_family(label: str) -> Graph:
     raise ValueError(f"unknown family label {label!r}; expected one of {FAMILY_LABELS}")
 
 
-def adjacency(g: Graph) -> LabeledMatrix:
+def adjacency(g: Graph) -> np.ndarray:
+    """Read-only int64 n x n 0/1 matrix; entry [i, j] belongs to node pair
+    (i+1, j+1)."""
     a = np.zeros((g.n, g.n), dtype=np.int64)
     for u, v in g.edges:
         a[u - 1, v - 1] = 1
         a[v - 1, u - 1] = 1
-    return LabeledMatrix(g.n, a)
+    a.setflags(write=False)
+    return a
 
 
-def laplacian(g: Graph) -> LabeledMatrix:
-    """L = Z - A: degrees on the diagonal, -1 per edge; every row sums to 0
-    exactly (integer arithmetic)."""
-    m = -adjacency(g).entries.copy()
+def laplacian(g: Graph) -> np.ndarray:
+    """L = Z - A as a read-only int64 n x n matrix: degrees on the diagonal,
+    -1 per edge; every row sums to 0 exactly (integer arithmetic)."""
+    m = -adjacency(g)
     m[np.diag_indices(g.n)] = g.degrees()
-    return LabeledMatrix(g.n, m)
+    m.setflags(write=False)
+    return m
 
 
 def is_connected(g: Graph) -> bool:

@@ -4,9 +4,11 @@ Numbers are rendered with 15 significant digits, fixed column order, LF line
 endings, so identical configurations produce byte-identical files.  There is
 one number formatter, ``_fill``: it renders a whole column or table with one
 %-operation over a template holding a ``%.15g`` slot per number, which gives
-the same text as ``f"{x:.15g}"`` for every float.  A time grid shared by
-several series is formatted once with ``format_numbers`` and passed in as
-text.  JSON numbers are the floats that this text parses back to.
+the same text as ``f"{x:.15g}"`` for every float.  There is one series
+serializer, ``render_series``: it takes the value column(s) as arrays and the
+time grid as text already formatted by ``format_numbers``, so a grid shared
+by several series is formatted once.  JSON numbers are the floats that this
+text parses back to.
 
 Probability values are clipped to [0, 1] here, and only here; TransportSeries,
 ProbabilityMatrix and ``transport.pair_table`` have already rejected any
@@ -22,7 +24,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .analysis import EfficiencyReport
-from .transport import ProbabilityMatrix, TransportSeries
+from .transport import ProbabilityMatrix
 
 _NUMBER = "%.15g"
 
@@ -49,8 +51,9 @@ def _round15(values) -> list[float]:
 
 def render_series(fmt: str, quantity: str, time_text, values, approx=None) -> str:
     """One series file ('csv' or 'json') on a time grid already formatted by
-    format_numbers.  Values tagged as probabilities are clipped; the
-    approximation column is written as given."""
+    format_numbers: a 't,value' table, or 't,value,approx' when the
+    approximation column is given.  Values tagged as probabilities are
+    clipped; the approximation column is written as given."""
     if quantity != "approx_alpha_bar_sq":
         values = np.clip(values, 0.0, 1.0)
     columns = [values] if approx is None else [values, np.asarray(approx, dtype=float)]
@@ -72,31 +75,6 @@ def render_series(fmt: str, quantity: str, time_text, values, approx=None) -> st
             obj["approx"] = _round15(approx)
         return json.dumps(obj, indent=2) + "\n"
     raise ValueError(f"fmt must be 'csv' or 'json', got {fmt!r}")
-
-
-def _render(fmt, series: TransportSeries, approx: TransportSeries | None, time_text) -> str:
-    if approx is not None:
-        if approx.times.shape != series.times.shape or np.any(approx.times != series.times):
-            raise ValueError("approximation series must share the time grid")
-        approx = approx.values
-    if time_text is None:
-        time_text = format_numbers(series.times)
-    return render_series(fmt, series.quantity, time_text, series.values, approx)
-
-
-def series_to_csv(
-    series: TransportSeries, approx: TransportSeries | None = None, time_text=None
-) -> str:
-    """'t,value' rows; when the approximation series is co-emitted the header
-    becomes 't,value,approx' and its column stays unclamped.  time_text is
-    the series' time grid already formatted, when the caller has it."""
-    return _render("csv", series, approx, time_text)
-
-
-def series_to_json(
-    series: TransportSeries, approx: TransportSeries | None = None, time_text=None
-) -> str:
-    return _render("json", series, approx, time_text)
 
 
 def matrix_to_csv(matrix: ProbabilityMatrix) -> str:

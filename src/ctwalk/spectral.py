@@ -15,6 +15,7 @@ partition, so "degenerate" can never mean two different things.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,13 @@ class Spectrum:
             object.__setattr__(self, name, arr)
 
 
+def _check_deg_tol(deg_tol: float) -> None:
+    """Reject a deg_tol that is not finite and positive: a NaN or inf gap
+    test would merge every eigenvalue into one class."""
+    if not (math.isfinite(deg_tol) and deg_tol > 0):
+        raise ValueError(f"deg_tol must be finite and positive, got {deg_tol!r}")
+
+
 def _check_residuals(a: np.ndarray, w: np.ndarray, v: np.ndarray) -> None:
     """Raise ConvergenceError unless v is orthonormal and a v = v diag(w) to
     within _RESIDUAL_TOL * max(1, ||a||_F).  Written so that NaN fails."""
@@ -91,8 +99,7 @@ def cluster_degeneracies(eigenvalues, deg_tol: float = DEFAULT_DEG_TOL):
     class starts whenever the gap to the previous eigenvalue exceeds deg_tol.
     Class value is the mean of its members."""
     w = np.asarray(eigenvalues, dtype=float)
-    if deg_tol <= 0:
-        raise ValueError("deg_tol must be positive")
+    _check_deg_tol(deg_tol)
     if w.size == 0:
         return []
     if np.any(np.diff(w) < 0):
@@ -109,21 +116,22 @@ def cluster_degeneracies(eigenvalues, deg_tol: float = DEFAULT_DEG_TOL):
 
 
 def eigendecompose(matrix, deg_tol: float = DEFAULT_DEG_TOL) -> Spectrum:
-    """Full spectrum of a symmetric matrix (a LabeledMatrix or a plain array).
+    """Full spectrum of a symmetric matrix given as an array, such as the
+    integer matrix graphs.laplacian returns.
 
     Eigenvalues come back ascending with sign-fixed orthonormal eigenvectors
     and the degeneracy-class partition at tolerance ``deg_tol``.  ``deg_tol``
     also bounds the accepted input asymmetry.  A non-finite entry is a
-    ValueError naming its 0-based [row, column].
+    ValueError naming its 0-based [row, column]; so is a deg_tol that is not
+    finite and positive.
 
     Raises ConvergenceError when LAPACK fails or its result fails the
     residual check (see the module docstring).
     """
-    a = np.asarray(getattr(matrix, "entries", matrix), dtype=float)
+    a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if deg_tol <= 0:
-        raise ValueError("deg_tol must be positive")
+    _check_deg_tol(deg_tol)
     finite = np.isfinite(a)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]

@@ -9,10 +9,10 @@ asymptote, and the dominant-degeneracy cosine approximation.
 
 Time phases e^{-Et} and e^{-iEt} are evaluated in one place, ``_phases``,
 once per (spectrum, grid, kind) for each quantity.  Pair quantities go
-through one kernel, ``pair_kernel``: the per-pair functions pass it a single
-weight row, and ``pair_table`` passes the rows of every target node at once,
-so all n series of one start node cost one phase table and one matrix
-product.
+through one kernel, ``pair_kernel``: the scalar per-pair functions pass it a
+single weight row, and ``pair_table``, the one source of pair series, passes
+the rows of every target node at once, so all n series of one start node
+cost one phase table and one matrix product.
 
 Scalar time arguments give scalars; array arguments broadcast to arrays.
 Node labels are 1-based.
@@ -92,6 +92,10 @@ class TimeGrid:
 
     def times(self) -> np.ndarray:
         return self.start + self.step * np.arange(self.size)
+
+
+# The grid of the ten-node study, used by the CLI and efficiency_report.
+DEFAULT_GRID = TimeGrid(0.0, 50.0, 0.01)
 
 
 @dataclass(frozen=True)
@@ -346,25 +350,17 @@ def approx_alpha_bar_sq(s: Spectrum, class_index: int, t):
 
 
 def series(
-    s: Spectrum,
-    grid: TimeGrid,
-    quantity: str,
-    k: int | None = None,
-    j: int | None = None,
-    class_index: int | None = None,
+    s: Spectrum, grid: TimeGrid, quantity: str, class_index: int | None = None
 ) -> TransportSeries:
-    """Evaluate one scalar transport quantity over a TimeGrid.
+    """Evaluate one scalar, non-pair transport quantity over a TimeGrid.
 
-    Pair quantities need both node labels k and j; the approximation needs
-    the degeneracy-class index.
+    The approximation needs the degeneracy-class index.  Pair series come
+    from pair_table, which evaluates every target node at once.
     """
-    ts = grid.times()
     if quantity in PAIR_QUANTITIES:
-        if k is None or j is None:
-            raise ValueError(f"{quantity} requires node labels k and j")
-        fn = classical_prob if quantity == "classical_pair" else quantum_prob
-        values = fn(s, k, j, ts)
-    elif quantity == "classical_avg_return":
+        raise ValueError(f"{quantity} series come from pair_table, not series")
+    ts = grid.times()
+    if quantity == "classical_avg_return":
         values = avg_return_classical(s, ts)
     elif quantity == "quantum_avg_return":
         values = avg_return_quantum(s, ts)
@@ -377,4 +373,3 @@ def series(
     else:
         raise ValueError(f"unknown quantity tag {quantity!r}")
     return TransportSeries(quantity=quantity, times=ts, values=values)
-

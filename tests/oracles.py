@@ -16,7 +16,7 @@ def expm_oracle(matrix, t: float, kind: str) -> np.ndarray:
     series is summed to order 20, and the result squared back up.  This is a
     validation oracle for the spectral propagators, not a production path.
     """
-    a = np.asarray(getattr(matrix, "entries", matrix), dtype=float)
+    a = np.asarray(matrix, dtype=float)
     if kind == "classical":
         b = -t * a
     elif kind == "quantum":

@@ -250,6 +250,17 @@ class TestReport:
         code, _, err = run(capsys, "report", "--graph", str(edge_file), "--out", str(tmp_path))
         assert code == 2 and "connected" in err
 
+    def test_one_node_edge_list(self, tmp_path, capsys):
+        # the classical asymptote 1/n is 1, which the walker holds from t = 0
+        edge_file = tmp_path / "one.edges"
+        edge_file.write_text("n 1\n")
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "report", "--graph", str(edge_file), "--out", str(out))
+        assert code == 0, err
+        obj = json.loads((out / "report.json").read_text())
+        assert obj["classical_asymptote"] == 1.0
+        assert obj["equipartition_time"] == 0.0
+
     def test_replication_bundle(self, tmp_path, capsys):
         # one report per family label rebuilds the benchmark table exactly
         table = {}
@@ -304,6 +315,17 @@ class TestExitCodes:
         out = tmp_path / "out"
         code, _, err = run(capsys, command, "--graph", f"star:{MAX_NODES + 1}", "--out", str(out))
         assert code == 2 and "exceeds the limit" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen", "report"])
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_deg_tol_is_usage_error(self, tmp_path, capsys, command, tol):
+        out = tmp_path / "out"
+        code, stdout, err = run(
+            capsys, command, "--graph", "family:e", "--deg-tol", tol, "--out", str(out)
+        )
+        assert code == 2 and "deg_tol" in err
+        assert stdout == ""
         assert not out.exists()
 
     def test_oversized_edge_list_header_is_usage_error(self, tmp_path, capsys):

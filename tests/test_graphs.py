@@ -121,28 +121,30 @@ class TestGenerators:
 
 class TestMatrices:
     def test_laplacian_path3(self):
-        m = laplacian(gen_path(3)).entries
+        m = laplacian(gen_path(3))
         assert np.array_equal(m, [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
 
     def test_laplacian_k2(self):
-        m = laplacian(from_edge_list(2, [(1, 2)])).entries
+        m = laplacian(from_edge_list(2, [(1, 2)]))
         assert np.array_equal(m, [[1, -1], [-1, 1]])
 
     def test_laplacian_star(self):
-        m = laplacian(gen_star(10)).entries
+        m = laplacian(gen_star(10))
         assert np.array_equal(np.diag(m), [9] + [1] * 9)
         assert np.all(m[0, 1:] == -1)
 
     def test_row_sums_exactly_zero(self, family_graphs):
         for g in family_graphs.values():
-            m = laplacian(g).entries
+            m = laplacian(g)
             assert np.issubdtype(m.dtype, np.integer)
+            assert not m.flags.writeable
             assert np.array_equal(m.sum(axis=0), np.zeros(g.n, dtype=np.int64))
             assert np.array_equal(m, m.T)
 
     def test_adjacency_matches_edges(self):
         g = gen_cycle(4)
-        a = adjacency(g).entries
+        a = adjacency(g)
+        assert not a.flags.writeable
         assert a.sum() == 2 * g.q
         assert np.all(np.diag(a) == 0)
 

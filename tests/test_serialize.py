@@ -12,8 +12,6 @@ from ctwalk.serialize import (
     report_to_json,
     report_to_text,
     render_series,
-    series_to_csv,
-    series_to_json,
 )
 from ctwalk.transport import ProbabilityMatrix, TransportSeries
 
@@ -44,7 +42,7 @@ class TestNumbers:
         ser = TransportSeries(
             "quantum_pair", np.array([0.0, 1.0, 2.0]), np.array([-5e-10, 0.5, 1.0 + 5e-10])
         )
-        assert series_to_csv(ser) == "t,value\n0,0\n1,0.5\n2,1\n"
+        assert _csv(ser) == "t,value\n0,0\n1,0.5\n2,1\n"
         m = ProbabilityMatrix(2, np.array([[1.0 + 5e-10, -5e-10], [-5e-10, 1.0]]), "lta")
         assert matrix_to_csv(m) == "1,0\n0,1\n"
 
@@ -57,6 +55,14 @@ class TestNumbers:
 
 EDGE_VALUES = [0.0, 1.0, -0.0, 5e-324, 1e-5, 0.1 + 0.2, 1e16, 1 / 3, 2.5e-7, 123456789012345.6,
                -0.28, -1e-12, -3.0000000000000004, np.nextafter(1.0, 0.0), 1e-300, 1e300]
+
+
+def _csv(ser, approx=None):
+    return render_series("csv", ser.quantity, format_numbers(ser.times), ser.values, approx)
+
+
+def _json(ser, approx=None):
+    return render_series("json", ser.quantity, format_numbers(ser.times), ser.values, approx)
 
 
 def _fstring_csv(header, *columns):
@@ -85,18 +91,19 @@ class TestOneShotFormatter:
         approx = np.array(EDGE_VALUES) - 0.5
         ser = TransportSeries("alpha_bar_sq", ts, values)
         apx = TransportSeries("approx_alpha_bar_sq", ts, approx)
-        assert series_to_csv(ser) == _fstring_csv("t,value", ts, values)
-        assert series_to_csv(ser, apx) == _fstring_csv("t,value,approx", ts, values, approx)
-        assert series_to_csv(apx) == _fstring_csv("t,value", ts, approx)
+        assert _csv(ser) == _fstring_csv("t,value", ts, values)
+        assert _csv(ser, apx.values) == _fstring_csv("t,value,approx", ts, values, approx)
+        assert _csv(apx) == _fstring_csv("t,value", ts, approx)
 
     def test_shared_time_column(self):
         ts = np.linspace(0.0, 3.0, 31)
-        ser = TransportSeries("quantum_pair", ts, np.cos(ts) ** 2)
         text = format_numbers(ts)
-        assert series_to_csv(ser, time_text=text) == series_to_csv(ser)
-        assert series_to_json(ser, time_text=text) == series_to_json(ser)
-        assert render_series("csv", "quantum_pair", text, ser.values) == series_to_csv(ser)
-        assert render_series("json", "quantum_pair", text, ser.values) == series_to_json(ser)
+        for values in (np.cos(ts) ** 2, np.sin(ts) ** 2):
+            csv = render_series("csv", "quantum_pair", text, values)
+            assert csv == _fstring_csv("t,value", ts, values)
+            obj = json.loads(render_series("json", "quantum_pair", text, values))
+            assert obj["times"] == [float(f"{t:.15g}") for t in ts]
+            assert obj["values"] == [float(f"{x:.15g}") for x in values]
 
     def test_render_validation(self):
         with pytest.raises(ValueError, match="time column"):
@@ -107,7 +114,7 @@ class TestOneShotFormatter:
     def test_json_values_are_rounded_floats(self):
         values = np.array([0.1 + 0.2, 1 / 3, 1e-5])
         ser = TransportSeries("alpha_bar_sq", np.arange(3.0), values)
-        obj = json.loads(series_to_json(ser))
+        obj = json.loads(_json(ser))
         assert obj["values"] == [float(f"{x:.15g}") for x in values]
 
     def test_matrix_csv_matches_fstring(self):
@@ -122,35 +129,29 @@ class TestOneShotFormatter:
 class TestSeriesExport:
     def test_csv_layout(self):
         ser = TransportSeries("alpha_bar_sq", np.array([0.0, 0.5]), np.array([1.0, 0.25]))
-        assert series_to_csv(ser) == "t,value\n0,1\n0.5,0.25\n"
+        assert _csv(ser) == "t,value\n0,1\n0.5,0.25\n"
 
     def test_csv_clamps_probability_tags(self):
         ser = TransportSeries("alpha_bar_sq", np.array([0.0]), np.array([1.0 + 5e-10]))
-        assert series_to_csv(ser) == "t,value\n0,1\n"
+        assert _csv(ser) == "t,value\n0,1\n"
 
     def test_csv_keeps_approx_unclamped(self):
         ser = TransportSeries("approx_alpha_bar_sq", np.array([0.0]), np.array([-0.28]))
-        assert series_to_csv(ser) == "t,value\n0,-0.28\n"
+        assert _csv(ser) == "t,value\n0,-0.28\n"
 
     def test_csv_with_approx_column(self):
         ts = np.array([0.0, 1.0])
         ser = TransportSeries("alpha_bar_sq", ts, np.array([1.0, 0.5]))
         approx = TransportSeries("approx_alpha_bar_sq", ts, np.array([0.96, 0.4]))
-        out = series_to_csv(ser, approx)
+        out = _csv(ser, approx.values)
         assert out.splitlines()[0] == "t,value,approx"
         assert out.splitlines()[1] == "0,1,0.96"
-
-    def test_approx_grid_must_match(self):
-        ser = TransportSeries("alpha_bar_sq", np.array([0.0, 1.0]), np.array([1.0, 0.5]))
-        approx = TransportSeries("approx_alpha_bar_sq", np.array([0.0, 2.0]), np.array([1.0, 0.5]))
-        with pytest.raises(ValueError, match="time grid"):
-            series_to_csv(ser, approx)
 
     def test_json_roundtrip(self):
         ts = np.array([0.0, 1.0])
         ser = TransportSeries("alpha_bar_sq", ts, np.array([1.0, 0.5]))
         approx = TransportSeries("approx_alpha_bar_sq", ts, np.array([0.96, 0.4]))
-        obj = json.loads(series_to_json(ser, approx))
+        obj = json.loads(_json(ser, approx.values))
         assert obj["quantity"] == "alpha_bar_sq"
         assert obj["times"] == [0.0, 1.0]
         assert obj["values"] == [1.0, 0.5]

@@ -40,7 +40,7 @@ class TestEigendecompose:
             q = s.eigenvectors
             assert np.max(np.abs(q.T @ q - np.eye(s.n))) <= 1e-10
             recon = q @ np.diag(s.eigenvalues) @ q.T
-            assert np.max(np.abs(recon - laplacian(family_graphs[label]).entries)) <= 1e-9
+            assert np.max(np.abs(recon - laplacian(family_graphs[label]))) <= 1e-9
 
     def test_trace_identity(self, family_graphs, family_spectra):
         for label, s in family_spectra.items():
@@ -98,8 +98,10 @@ class TestEigendecompose:
             eigendecompose(np.zeros((2, 3)))
 
     def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError, match="deg_tol"):
-            eigendecompose(np.eye(2), deg_tol=0.0)
+        # NaN and inf would merge every eigenvalue into one class
+        for tol in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="deg_tol"):
+                eigendecompose(np.eye(2), deg_tol=tol)
 
     def test_residual_gate_rejects_corrupted_eigenvectors(self, monkeypatch):
         lapack = np.linalg.eigh
@@ -162,8 +164,9 @@ class TestClustering:
             cluster_degeneracies([1.0, 0.0], 1e-8)
 
     def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError, match="deg_tol"):
-            cluster_degeneracies([0.0, 1.0], -1.0)
+        for tol in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="deg_tol"):
+                cluster_degeneracies([0.0, 1.0], tol)
 
     def test_class_multiplicity(self):
         assert DegeneracyClass(1.0, (3, 4, 5)).multiplicity == 3

@@ -248,9 +248,9 @@ class TestLongTimeAverage:
     def test_quadrature_oracle(self, k2_spectrum, family_spectra):
         # The defining Cesaro limit, realized numerically, must land on the
         # closed-form class-sum value.
-        grid = TimeGrid(0.0, 1e3, 0.01)
+        ts = TimeGrid(0.0, 1e3, 0.01).times()
         for s, k, j in ((k2_spectrum, 1, 1), (family_spectra["e"], 1, 2)):
-            ser = series(s, grid, "quantum_pair", k=k, j=j)
+            ser = TransportSeries("quantum_pair", ts, pair_table(s, "quantum_pair", j, ts)[k - 1])
             tail = running_time_average(ser).values[-1]
             assert tail == pytest.approx(lta_pair(s, k, j), abs=5e-3)
 
@@ -363,11 +363,12 @@ class TestApproximation:
 
 class TestSeries:
     def test_k2_quantum_pair_on_half_pi_grid(self, k2_spectrum):
-        ser = series(k2_spectrum, TimeGrid(0.0, np.pi, np.pi / 2), "quantum_pair", k=1, j=1)
-        assert len(ser.values) == 3
-        assert ser.values[0] == pytest.approx(1.0, abs=1e-12)
-        assert ser.values[1] == pytest.approx(0.0, abs=1e-12)
-        assert ser.values[2] == pytest.approx(1.0, abs=1e-12)
+        ts = TimeGrid(0.0, np.pi, np.pi / 2).times()
+        values = pair_table(k2_spectrum, "quantum_pair", 1, ts)[0]
+        assert len(values) == 3
+        assert values[0] == pytest.approx(1.0, abs=1e-12)
+        assert values[1] == pytest.approx(0.0, abs=1e-12)
+        assert values[2] == pytest.approx(1.0, abs=1e-12)
 
     def test_first_classical_value_is_one(self, family_spectra):
         for s in family_spectra.values():
@@ -376,8 +377,9 @@ class TestSeries:
 
     def test_missing_parameters(self, k2_spectrum):
         grid = TimeGrid(0.0, 1.0, 0.5)
-        with pytest.raises(ValueError, match="node labels"):
-            series(k2_spectrum, grid, "quantum_pair")
+        for quantity in ("classical_pair", "quantum_pair"):
+            with pytest.raises(ValueError, match="pair_table"):
+                series(k2_spectrum, grid, quantity)
         with pytest.raises(ValueError, match="class_index"):
             series(k2_spectrum, grid, "approx_alpha_bar_sq")
         with pytest.raises(ValueError, match="quantity"):
@@ -417,7 +419,7 @@ class TestExpmOracle:
         for n in (3, 5, 8):
             g = gen_path(n)
             extra = [(int(u) + 1, int(v) + 1) for u, v in rng.integers(0, n, size=(n, 2)) if u != v]
-            m = laplacian(from_edge_list(n, list(g.edges) + extra)).entries.astype(float)
+            m = laplacian(from_edge_list(n, list(g.edges) + extra)).astype(float)
             for t in (0.3, 1.7, 4.0):
                 assert np.max(np.abs(expm_oracle(m, t, "classical") - scipy_expm(-t * m))) <= 1e-10
                 assert np.max(np.abs(expm_oracle(m, t, "quantum") - scipy_expm(-1j * t * m))) <= 1e-10
