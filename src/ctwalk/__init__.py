@@ -30,6 +30,7 @@ from .spectral import (
     cluster_degeneracies,
     eigendecompose,
     format_spectrum,
+    nearest_class,
     symmetry_degree,
 )
 from .transport import (
@@ -48,8 +49,6 @@ from .transport import (
     chi_bar_lb,
     classical_prob,
     lta_matrix,
-    lta_pair,
-    nearest_class,
     pair_kernel,
     pair_table,
     propagator,

@@ -2,10 +2,10 @@
 time averages, equipartition timing, and the per-graph efficiency report
 contrasting classical and quantum walks.
 
-The report's slope window, equipartition band and verdict margin are the
-module constants SLOPE_WINDOW, EQUIPARTITION_BAND and VERDICT_MARGIN, set
-to replicate the ten-node study; only the time grid and the degeneracy
-tolerance are arguments of efficiency_report."""
+The report's slope window and its sample minimum, equipartition band and
+verdict margin are the module constants SLOPE_WINDOW, MIN_SLOPE_SAMPLES,
+EQUIPARTITION_BAND and VERDICT_MARGIN, set to replicate the ten-node study;
+only the grid and the degeneracy tolerance are efficiency_report arguments."""
 
 from __future__ import annotations
 
@@ -27,10 +27,11 @@ VERDICTS = ("quantum_more_efficient", "classical_more_efficient", "indeterminate
 _VERDICT_TIE_TOL = 1e-9
 
 
-# Log-log fit window of both decay slopes, the band around 1/n that counts as
-# equipartition, and the margin above 1/n at which the saturation bound means
-# the quantum walk loses.
+# Log-log fit window of both decay slopes and the fewest grid samples a fit
+# needs inside it, the band around 1/n that counts as equipartition, and the
+# margin above 1/n at which the saturation bound means the quantum walk loses.
 SLOPE_WINDOW = (0.5, 5.0)
+MIN_SLOPE_SAMPLES = 10
 EQUIPARTITION_BAND = 0.005
 VERDICT_MARGIN = 0.02
 
@@ -51,18 +52,21 @@ class EfficiencyReport:
 
 
 def decay_slope(series: TransportSeries, window: tuple[float, float]) -> float:
-    """Least-squares slope of log(value) vs log(t) over the samples falling in
-    [t_lo, t_hi].  Exact on pure power laws."""
+    """Least-squares slope of log(value) vs log(t) over the at least
+    MIN_SLOPE_SAMPLES samples in [t_lo, t_hi].  Exact on pure power laws."""
     t_lo, t_hi = window
+    span = f"{t_lo:g}..{t_hi:g}"
     if t_lo <= 0:
         raise ValueError("window must start at t > 0 for a log-log fit")
     if t_lo >= t_hi:
         raise ValueError("window must satisfy t_lo < t_hi")
     if t_lo < series.times[0] or t_hi > series.times[-1]:
-        raise ValueError("window must lie within the series time range")
+        grid_span = f"{series.times[0]:g}..{series.times[-1]:g}"
+        raise ValueError(f"window must lie within the series time range {grid_span}, got window {span}")
     mask = (series.times >= t_lo) & (series.times <= t_hi)
-    if int(np.sum(mask)) < 10:
-        raise ValueError(f"need at least 10 samples in the window, got {int(np.sum(mask))}")
+    count = int(np.sum(mask))
+    if count < MIN_SLOPE_SAMPLES:
+        raise ValueError(f"need at least {MIN_SLOPE_SAMPLES} samples in the window {span}, got {count}")
     values = series.values[mask]
     if np.any(values <= 0):
         raise ValueError("all values in the window must be positive for a log-log fit")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import analysis, graphs, serialize, transport
-from .spectral import DEFAULT_DEG_TOL, ConvergenceError, eigendecompose, symmetry_degree
+from .spectral import DEFAULT_DEG_TOL, ConvergenceError, eigendecompose, nearest_class, symmetry_degree
 from .transport import DEFAULT_GRID, PAIR_QUANTITIES, QUANTITIES, TimeGrid
 
 EXIT_OK = 0
@@ -135,7 +135,7 @@ def cmd_evolve(config: RunConfig) -> int:
     ts = config.grid.times()
     time_text = serialize.format_numbers(ts)
     co_emit = "alpha_bar_sq" in config.quantities and "approx_alpha_bar_sq" in config.quantities
-    approx_class = transport.nearest_class(s, 1.0)
+    approx_class = nearest_class(s, 1.0)
 
     written = []
 
@@ -214,12 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, times=False, start_node=False, fmt=False, quantities=False):
+    def common(p, times_help=None, start_node=False, fmt=False, quantities=False):
         p.add_argument("--graph", required=True, help="generator spec (family:a, path:10, star:10, broom:5:5, cycle:12) or edge-list file")
         p.add_argument("--deg-tol", type=float, default=DEFAULT_DEG_TOL, help="eigenvalue degeneracy tolerance")
         p.add_argument("--out", default=".", help="output directory")
-        if times:
-            p.add_argument("--times", default=None, help="time grid start:stop:step (default 0:50:0.01)")
+        if times_help is not None:
+            p.add_argument("--times", default=None, help=f"time grid start:stop:step (default 0:50:0.01){times_help}")
         if start_node:
             p.add_argument("--start-node", dest="start_node", type=int, default=1, help="start node j for pairwise series")
         if fmt:
@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=lambda a: cmd_gen(a.graph, Path(a.out), a.deg_tol))
 
     p_evolve = sub.add_parser("evolve", help="emit transport series over a time grid")
-    common(p_evolve, times=True, start_node=True, fmt=True, quantities=True)
+    common(p_evolve, times_help="", start_node=True, fmt=True, quantities=True)
     p_evolve.set_defaults(func=lambda a: cmd_evolve(_config_from_args(a)))
 
     p_lta = sub.add_parser("lta", help="emit the long-time-average probability matrix")
@@ -240,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lta.set_defaults(func=lambda a: cmd_lta(_config_from_args(a)))
 
     p_report = sub.add_parser("report", help="emit the efficiency report")
-    common(p_report, times=True)
+    window = "%g..%g" % analysis.SLOPE_WINDOW
+    common(p_report, times_help=f"; it must cover the slope window {window} with at least {analysis.MIN_SLOPE_SAMPLES} samples in it")
     p_report.set_defaults(func=lambda a: cmd_report(_config_from_args(a)))
 
     return parser

@@ -8,15 +8,16 @@ failure (NaN included) raises ConvergenceError.  Eigenvectors are sign-fixed,
 so output is byte-stable across runs on one machine and numpy build.  Within
 a degenerate class the basis is whatever LAPACK returns; every quantity
 downstream depends only on the class projectors, not on that choice.
-Degenerate eigenvalues are grouped into classes by a greedy gap threshold;
-every downstream long-time-average formula consumes the same class
-partition, so "degenerate" can never mean two different things.
+The eigenvalues split into degeneracy classes, contiguous runs, at every gap
+above deg_tol; a run spreading wider than deg_tol is a ValueError.  Every
+transport series and long-time average reads class values and class-summed
+weights from this one partition, so "degenerate" means one thing throughout.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,17 +48,26 @@ class DegeneracyClass:
 @dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues (ascending), orthonormal eigenvectors (column j pairs with
-    eigenvalue j), and the degeneracy-class partition of indices 0..n-1."""
+    eigenvalue j), and the degeneracy-class partition of indices 0..n-1 into
+    contiguous runs, also as the arrays class_starts and class_values."""
 
     n: int
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     classes: tuple[DegeneracyClass, ...]
     deg_tol: float
+    class_starts: np.ndarray = field(init=False, repr=False, compare=False)
+    class_values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("eigenvalues", "eigenvectors"):
-            arr = np.array(getattr(self, name), dtype=float)
+        if [i for c in self.classes for i in c.members] != list(range(self.n)):
+            raise ValueError("classes must split 0..n-1 into contiguous runs, in order")
+        for name, arr in (
+            ("eigenvalues", np.array(self.eigenvalues, dtype=float)),
+            ("eigenvectors", np.array(self.eigenvectors, dtype=float)),
+            ("class_starts", np.array([c.members[0] for c in self.classes], dtype=np.intp)),
+            ("class_values", np.array([c.value for c in self.classes], dtype=float)),
+        ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -86,32 +96,33 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Deterministic sign convention: the first component of largest magnitude
     in each column is made positive (ties resolved by np.argmax's lowest
     index)."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        lead = np.argmax(np.abs(out[:, j]))
-        if out[lead, j] < 0:
-            out[:, j] = -out[:, j]
-    return out
+    if not vectors.size:
+        return vectors.copy()
+    lead = np.argmax(np.abs(vectors), axis=0)
+    return vectors * np.where(vectors[lead, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
 
 
 def cluster_degeneracies(eigenvalues, deg_tol: float = DEFAULT_DEG_TOL):
-    """Greedy left-to-right clustering of an ascending eigenvalue array: a new
-    class starts whenever the gap to the previous eigenvalue exceeds deg_tol.
-    Class value is the mean of its members."""
+    """Split an ascending eigenvalue array into classes wherever the gap to
+    the previous eigenvalue exceeds deg_tol; class value is the mean of its
+    members.  A chain of small gaps spreading wider than deg_tol from first
+    to last member is a ValueError."""
     w = np.asarray(eigenvalues, dtype=float)
     _check_deg_tol(deg_tol)
     if w.size == 0:
         return []
     if np.any(np.diff(w) < 0):
         raise ValueError("eigenvalues must be sorted ascending")
-    classes = []
-    start = 0
-    for i in range(1, w.size):
-        if w[i] - w[i - 1] > deg_tol:
-            members = tuple(range(start, i))
-            classes.append(DegeneracyClass(float(np.mean(w[start:i])), members))
-            start = i
-    classes.append(DegeneracyClass(float(np.mean(w[start:])), tuple(range(start, w.size))))
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(w) > deg_tol) + 1, [w.size]))
+    b = bounds.tolist()
+    classes = [DegeneracyClass(float(np.mean(w[i:j])), tuple(range(i, j))) for i, j in zip(b, b[1:])]
+    spreads = w[bounds[1:] - 1] - w[bounds[:-1]]
+    if np.any(spreads > deg_tol):
+        c = int(np.argmax(spreads))
+        raise ValueError(
+            f"degeneracy class at {classes[c].value:.15g} spreads {spreads[c]:.3e}, wider "
+            f"than deg_tol {deg_tol:.3e}; lower --deg-tol to split it"
+        )
     return classes
 
 
@@ -153,18 +164,19 @@ def eigendecompose(matrix, deg_tol: float = DEFAULT_DEG_TOL) -> Spectrum:
     return Spectrum(n=a.shape[0], eigenvalues=w, eigenvectors=v, classes=classes, deg_tol=deg_tol)
 
 
+def nearest_class(spectrum: Spectrum, value: float = 1.0) -> int:
+    """Index of the degeneracy class whose value is closest to ``value``."""
+    return int(np.argmin(np.abs(spectrum.class_values - value)))
+
+
 def symmetry_degree(spectrum: Spectrum) -> int:
-    """Multiplicity of the degeneracy class sitting at eigenvalue 1, or 0 if
-    that class is absent or non-degenerate (a simple eigenvalue 1 confers no
-    symmetry degree)."""
-    best = None
-    for cls in spectrum.classes:
-        dist = abs(cls.value - 1.0)
-        if dist <= spectrum.deg_tol and (best is None or dist < abs(best.value - 1.0)):
-            best = cls
-    if best is None or best.multiplicity < 2:
+    """Multiplicity of the degeneracy class sitting at eigenvalue 1 (the
+    class nearest 1, if within deg_tol of it), or 0 if that class is absent
+    or non-degenerate (a simple eigenvalue 1 confers no symmetry degree)."""
+    cls = spectrum.classes[nearest_class(spectrum, 1.0)] if spectrum.classes else None
+    if cls is None or abs(cls.value - 1.0) > spectrum.deg_tol or cls.multiplicity < 2:
         return 0
-    return best.multiplicity
+    return cls.multiplicity
 
 
 def format_spectrum(spectrum: Spectrum) -> str:

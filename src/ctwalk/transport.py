@@ -5,7 +5,11 @@ quantum propagator e^{-itL} via their spectral forms, pairwise transition
 probabilities, long-time averages (closed-form over degeneracy classes, no
 numerical time integration anywhere in this module), average return
 probabilities, the eigenvalue-only lower bound |alpha-bar(t)|^2 and its
-asymptote, and the dominant-degeneracy cosine approximation.
+asymptote, and the dominant-degeneracy cosine approximation.  Every series
+and average is class weights times class phases: the weights are summed
+over each degeneracy class by one reduction, ``_class_sum``, and the phases
+taken at the class values, so pi-bar(t) >= |alpha-bar(t)|^2 and the Cesaro
+limit of a pair series is chi_{k,j} by construction.
 
 Time phases e^{-Et} and e^{-iEt} are evaluated in one place, ``_phases``,
 once per (spectrum, grid, kind) for each quantity.  Pair quantities go
@@ -171,10 +175,13 @@ def _scalar_like(t, values):
     return float(values) if np.isscalar(t) or np.ndim(t) == 0 else values
 
 
-def _class_mults_values(s: Spectrum):
-    mult = np.array([c.multiplicity for c in s.classes], dtype=float)
-    vals = np.array([c.value for c in s.classes], dtype=float)
-    return mult, vals
+def _class_sum(s: Spectrum, x) -> np.ndarray:
+    """x with its last axis, over eigenvector indices, summed per class."""
+    return np.add.reduceat(x, s.class_starts, axis=-1)
+
+
+def _class_mults(s: Spectrum) -> np.ndarray:
+    return _class_sum(s, np.ones(s.n))
 
 
 def _phases(values: np.ndarray, ts, kind: str) -> np.ndarray:
@@ -195,8 +202,8 @@ def pair_kernel(weights, eigenvalues, t, kind: str) -> np.ndarray:
     """sum_n weights[..., n] e^{-E_n t} (classical) or e^{-i E_n t} (quantum)
     for every weight row, as one product with a single phase table.
 
-    With weight rows w_k = Q[k, :] * Q[j, :] the rows of the result are
-    P_{k,j}(t) (classical) or the amplitudes alpha_{k,j}(t) (quantum).
+    With class-summed weight rows w_k[c] = sum_{n in c} Q[k, n] Q[j, n] and
+    the class values, the rows are P_{k,j}(t) or the amplitudes alpha_{k,j}(t).
     """
     ts = _as_times(t, require_nonneg=kind == "classical")
     phases = _phases(np.asarray(eigenvalues, dtype=float), ts, kind)
@@ -205,20 +212,20 @@ def pair_kernel(weights, eigenvalues, t, kind: str) -> np.ndarray:
 
 
 def _pair_weights(s: Spectrum, k, j: int) -> np.ndarray:
-    """<k|q_n><q_n|j> for target row(s) k (0-based) and start index j."""
-    return s.eigenvectors[k] * s.eigenvectors[j]
+    """Class-summed <k|q_n><q_n|j> for target row(s) k (0-based), start index j."""
+    return _class_sum(s, s.eigenvectors[k] * s.eigenvectors[j])
 
 
 def classical_prob(s: Spectrum, k: int, j: int, t):
-    """P_{k,j}(t) = sum_n e^{-t E_n} <k|q_n><q_n|j>."""
+    """P_{k,j}(t) = sum_n e^{-t E_n} <k|q_n><q_n|j>, by class."""
     ki, ji = _node_index(s, k, "k"), _node_index(s, j, "j")
-    return _scalar_like(t, pair_kernel(_pair_weights(s, ki, ji), s.eigenvalues, t, "classical"))
+    return _scalar_like(t, pair_kernel(_pair_weights(s, ki, ji), s.class_values, t, "classical"))
 
 
 def quantum_amplitude(s: Spectrum, k: int, j: int, t):
-    """alpha_{k,j}(t) = <k|e^{-iHt}|j> = sum_n e^{-i t E_n} <k|q_n><q_n|j>."""
+    """alpha_{k,j}(t) = <k|e^{-iHt}|j> = sum_n e^{-i t E_n} <k|q_n><q_n|j>, by class."""
     ki, ji = _node_index(s, k, "k"), _node_index(s, j, "j")
-    amp = pair_kernel(_pair_weights(s, ki, ji), s.eigenvalues, t, "quantum")
+    amp = pair_kernel(_pair_weights(s, ki, ji), s.class_values, t, "quantum")
     return complex(amp) if np.isscalar(t) or np.ndim(t) == 0 else amp
 
 
@@ -237,7 +244,7 @@ def pair_table(s: Spectrum, quantity: str, j: int, t) -> np.ndarray:
         raise ValueError(f"pair_table needs one of {PAIR_QUANTITIES}, got {quantity!r}")
     ji = _node_index(s, j, "j")
     kind = quantity.partition("_")[0]
-    table = pair_kernel(_pair_weights(s, slice(None), ji), s.eigenvalues, t, kind)
+    table = pair_kernel(_pair_weights(s, slice(None), ji), s.class_values, t, kind)
     if kind == "quantum":
         table = np.abs(table) ** 2
     _check_prob_bounds(table, quantity)
@@ -262,25 +269,13 @@ def transition_matrix(s: Spectrum, t: float, kind: str) -> ProbabilityMatrix:
     return ProbabilityMatrix(s.n, entries, quantity=f"{kind}_transition", time=float(t))
 
 
-def lta_pair(s: Spectrum, k: int, j: int) -> float:
-    """Long-time average chi_{k,j} of the quantum transition probability,
-    collapsed per degeneracy class: sum_c (sum_{n in c} <k|q_n><q_n|j>)^2."""
-    ki, ji = _node_index(s, k, "k"), _node_index(s, j, "j")
-    total = 0.0
-    for cls in s.classes:
-        overlap = float(
-            s.eigenvectors[ki, list(cls.members)] @ s.eigenvectors[ji, list(cls.members)]
-        )
-        total += overlap * overlap
-    return total
-
-
 def lta_matrix(s: Spectrum) -> ProbabilityMatrix:
     """chi_{k,j} for all pairs: sum over classes of the squared entries of the
     class eigenprojector.  Symmetric; rows and columns sum to 1."""
     acc = np.zeros((s.n, s.n))
-    for cls in s.classes:
-        qc = s.eigenvectors[:, list(cls.members)]
+    bounds = np.append(s.class_starts, s.n).tolist()
+    for start, stop in zip(bounds, bounds[1:]):
+        qc = s.eigenvectors[:, start:stop]
         proj = qc @ qc.T
         proj = 0.5 * (proj + proj.T)
         acc += proj**2
@@ -290,13 +285,12 @@ def lta_matrix(s: Spectrum) -> ProbabilityMatrix:
 def avg_return_classical(s: Spectrum, t):
     """P-bar(t) = (1/N) sum over classes of D_c e^{-t E_c}; eigenvalues only."""
     ts = _as_times(t, require_nonneg=True)
-    mult, vals = _class_mults_values(s)
-    return _scalar_like(t, (mult @ _phases(vals, ts, "classical")) / s.n)
+    return _scalar_like(t, (_class_mults(s) @ _phases(s.class_values, ts, "classical")) / s.n)
 
 
 def avg_return_quantum(s: Spectrum, t):
     """pi-bar(t) = (1/N) sum_j |alpha_{j,j}(t)|^2; needs the eigenvectors."""
-    amps = pair_kernel(s.eigenvectors**2, s.eigenvalues, t, "quantum")  # alpha_{j,j}(t)
+    amps = pair_kernel(_class_sum(s, s.eigenvectors**2), s.class_values, t, "quantum")
     return _scalar_like(t, np.mean(np.abs(amps) ** 2, axis=0))
 
 
@@ -304,31 +298,20 @@ def alpha_bar_sq(s: Spectrum, t):
     """|alpha-bar(t)|^2 = |(1/N) sum over classes of D_c e^{-i t E_c}|^2,
     the eigenvalue-only lower bound of pi-bar(t)."""
     ts = _as_times(t, require_nonneg=False)
-    mult, vals = _class_mults_values(s)
-    amp = (mult.astype(complex) @ _phases(vals, ts, "quantum")) / s.n
+    amp = (_class_mults(s).astype(complex) @ _phases(s.class_values, ts, "quantum")) / s.n
     return _scalar_like(t, np.abs(amp) ** 2)
 
 
 def chi_bar(s: Spectrum) -> float:
     """Asymptotic value of pi-bar(t): the mean of the LTA-matrix diagonal,
     computed directly from the class projector diagonals."""
-    acc = np.zeros(s.n)
-    for cls in s.classes:
-        diag = np.sum(s.eigenvectors[:, list(cls.members)] ** 2, axis=1)
-        acc += diag**2
-    return float(np.mean(acc))
+    return float(np.mean(np.sum(_class_sum(s, s.eigenvectors**2) ** 2, axis=1)))
 
 
 def chi_bar_lb(s: Spectrum) -> float:
     """Eigenvalue-only lower bound of chi-bar: (1/N^2) sum of squared class
-    multiplicities; exact integer arithmetic until the final division."""
-    return sum(c.multiplicity**2 for c in s.classes) / s.n**2
-
-
-def nearest_class(s: Spectrum, value: float = 1.0) -> int:
-    """Index of the degeneracy class whose value is closest to ``value``."""
-    gaps = [abs(c.value - value) for c in s.classes]
-    return int(np.argmin(gaps))
+    multiplicities; a sum of integers below 2^53, so exact until the division."""
+    return float(np.sum(_class_mults(s) ** 2)) / s.n**2
 
 
 def approx_alpha_bar_sq(s: Spectrum, class_index: int, t):
@@ -341,7 +324,7 @@ def approx_alpha_bar_sq(s: Spectrum, class_index: int, t):
     if not (0 <= class_index < len(s.classes)):
         raise ValueError(f"class_index must be in 0..{len(s.classes) - 1}, got {class_index}")
     ts = _as_times(t, require_nonneg=False)
-    mult, vals = _class_mults_values(s)
+    mult, vals = _class_mults(s), s.class_values
     d_l, e_l = mult[class_index], vals[class_index]
     others = np.arange(len(s.classes)) != class_index
     cosines = np.cos(np.multiply.outer(vals[others] - e_l, ts))

@@ -328,6 +328,27 @@ class TestExitCodes:
         assert stdout == ""
         assert not out.exists()
 
+    def test_degeneracy_chain_is_usage_error(self, tmp_path, capsys):
+        # The four lowest path:100 eigenvalues are each within 5e-3 of the
+        # next but span 8.9e-3.
+        out = tmp_path / "out"
+        code, stdout, err = run(
+            capsys, "lta", "--graph", "path:100", "--deg-tol", "5e-3", "--out", str(out)
+        )
+        assert code == 2 and "spreads 8.876e-03" in err and "lower --deg-tol" in err
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("times, reason", [("0:3:0.01", "time range 0..3"), ("0:50:1", "got 5")])
+    def test_report_grid_missing_slope_window(self, tmp_path, capsys, times, reason):
+        out = tmp_path / "out"
+        code, stdout, err = run(
+            capsys, "report", "--graph", "family:a", "--times", times, "--out", str(out)
+        )
+        assert code == 2 and "window 0.5..5" in err and reason in err
+        assert stdout == ""
+        assert not out.exists()
+
     def test_oversized_edge_list_header_is_usage_error(self, tmp_path, capsys):
         edge_file = tmp_path / "big.edges"
         edge_file.write_text("n 100000\n1 2\n")

@@ -13,10 +13,14 @@ from hypothesis import strategies as st
 from ctwalk.graphs import from_edge_list, laplacian
 from ctwalk.spectral import Spectrum, eigendecompose
 from ctwalk.transport import (
+    alpha_bar_sq,
+    avg_return_classical,
+    avg_return_quantum,
     chi_bar,
     chi_bar_lb,
     classical_prob,
     lta_matrix,
+    pair_table,
     quantum_prob,
     transition_matrix,
 )
@@ -86,3 +90,18 @@ def test_transition_columns_sum_to_one(g):
         for kind in ("classical", "quantum"):
             sums = transition_matrix(s, t, kind).entries.sum(axis=0)
             assert np.max(np.abs(sums - 1.0)) <= 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(graphs)
+def test_return_series_read_one_partition(g):
+    # Pair series and the average-return functions sum the same class
+    # weights, so the mean return of the pair tables is the average return.
+    s = eigendecompose(laplacian(g))
+    for quantity, average in (
+        ("classical_pair", avg_return_classical),
+        ("quantum_pair", avg_return_quantum),
+    ):
+        returns = [pair_table(s, quantity, j, TIMES)[j - 1] for j in range(1, s.n + 1)]
+        assert np.max(np.abs(np.mean(returns, axis=0) - average(s, TIMES))) <= 1e-13
+    assert np.all(avg_return_quantum(s, TIMES) >= alpha_bar_sq(s, TIMES) - 1e-15)

@@ -7,6 +7,7 @@ from ctwalk.graphs import from_edge_list, gen_path, gen_star, laplacian
 from ctwalk.spectral import (
     ConvergenceError,
     DegeneracyClass,
+    Spectrum,
     cluster_degeneracies,
     eigendecompose,
     format_spectrum,
@@ -167,6 +168,23 @@ class TestClustering:
         for tol in (-1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="deg_tol"):
                 cluster_degeneracies([0.0, 1.0], tol)
+
+    def test_chain_wider_than_tolerance_fails(self):
+        # Six eigenvalues 0.9e-8 apart: each gap is within the default
+        # deg_tol, but the ends of the chain are 4.5e-8 apart.
+        with pytest.raises(ValueError, match=r"spreads 4\.500e-08.*deg_tol 1\.000e-08.*lower --deg-tol"):
+            eigendecompose(np.diag(1 + 0.9e-8 * np.arange(6)))
+
+    def test_spectrum_rejects_non_contiguous_classes(self):
+        # Class sums read each class as the run from its first member on.
+        s = eigendecompose(laplacian(gen_path(3)))
+        for classes in (
+            (DegeneracyClass(0.0, (0, 2)), DegeneracyClass(1.0, (1,))),
+            (DegeneracyClass(0.0, (0,)), DegeneracyClass(1.0, (1,))),
+        ):
+            with pytest.raises(ValueError, match="contiguous runs"):
+                Spectrum(n=3, eigenvalues=s.eigenvalues, eigenvectors=s.eigenvectors,
+                         classes=classes, deg_tol=s.deg_tol)
 
     def test_class_multiplicity(self):
         assert DegeneracyClass(1.0, (3, 4, 5)).multiplicity == 3

@@ -6,7 +6,7 @@ from scipy.linalg import expm as scipy_expm
 
 from ctwalk.analysis import running_time_average
 from ctwalk.graphs import from_edge_list, gen_broom, gen_cycle, gen_path, gen_star, laplacian
-from ctwalk.spectral import eigendecompose
+from ctwalk.spectral import eigendecompose, nearest_class
 from ctwalk.transport import (
     MAX_GRID_POINTS,
     ProbabilityMatrix,
@@ -20,8 +20,6 @@ from ctwalk.transport import (
     chi_bar_lb,
     classical_prob,
     lta_matrix,
-    lta_pair,
-    nearest_class,
     pair_kernel,
     pair_table,
     propagator,
@@ -187,12 +185,17 @@ class TestPairTable:
         _check_pair_table(g, data.draw(st.integers(1, n)))
 
     def test_single_row_kernel_is_the_per_pair_function(self, family_spectra):
+        # Class weights summed member by member and class values: the per-pair
+        # functions read the class partition, not raw eigenvalues.
         s = family_spectra["c"]
         ts = np.linspace(0, 5, 11)
-        w = s.eigenvectors[2] * s.eigenvectors[6]
-        assert np.array_equal(pair_kernel(w, s.eigenvalues, ts, "classical"),
+        row = s.eigenvectors[2] * s.eigenvectors[6]
+        w = np.array([sum(row[list(c.members)].tolist()) for c in s.classes])
+        values = np.array([c.value for c in s.classes])
+        assert any(c.multiplicity > 1 for c in s.classes)
+        assert np.array_equal(pair_kernel(w, values, ts, "classical"),
                               classical_prob(s, 3, 7, ts))
-        assert np.array_equal(pair_kernel(w, s.eigenvalues, ts, "quantum"),
+        assert np.array_equal(pair_kernel(w, values, ts, "quantum"),
                               quantum_amplitude(s, 3, 7, ts))
 
     def test_validation(self, k2_spectrum):
@@ -237,13 +240,14 @@ class TestTransitionMatrix:
 
 class TestLongTimeAverage:
     def test_k2_pair(self, k2_spectrum):
-        assert lta_pair(k2_spectrum, 1, 1) == pytest.approx(0.5, abs=1e-12)
+        assert lta_matrix(k2_spectrum).entries[0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_pair_symmetry(self, family_spectra):
         for s in family_spectra.values():
-            for k in range(1, s.n + 1):
-                for j in range(k, s.n + 1):
-                    assert abs(lta_pair(s, k, j) - lta_pair(s, j, k)) <= 1e-10
+            chi = lta_matrix(s).entries
+            for k in range(s.n):
+                for j in range(k, s.n):
+                    assert abs(chi[k, j] - chi[j, k]) <= 1e-10
 
     def test_quadrature_oracle(self, k2_spectrum, family_spectra):
         # The defining Cesaro limit, realized numerically, must land on the
@@ -252,7 +256,7 @@ class TestLongTimeAverage:
         for s, k, j in ((k2_spectrum, 1, 1), (family_spectra["e"], 1, 2)):
             ser = TransportSeries("quantum_pair", ts, pair_table(s, "quantum_pair", j, ts)[k - 1])
             tail = running_time_average(ser).values[-1]
-            assert tail == pytest.approx(lta_pair(s, k, j), abs=5e-3)
+            assert tail == pytest.approx(lta_matrix(s).entries[k - 1, j - 1], abs=5e-3)
 
     def test_k2_matrix(self, k2_spectrum):
         m = lta_matrix(k2_spectrum)
