@@ -37,6 +37,7 @@ from .transport import (
     DEFAULT_GRID,
     MAX_GRID_POINTS,
     PAIR_QUANTITIES,
+    PHASE_KINDS,
     QUANTITIES,
     ProbabilityMatrix,
     TimeGrid,
@@ -47,7 +48,9 @@ from .transport import (
     avg_return_quantum,
     chi_bar,
     chi_bar_lb,
+    class_phases,
     classical_prob,
+    from_phases,
     lta_matrix,
     pair_kernel,
     pair_table,

@@ -123,8 +123,9 @@ def cmd_evolve(config: RunConfig) -> int:
     Pair quantities produce one file per target node k (start node fixed by
     the config), all from one pair table; when both alpha_bar_sq and its
     approximation are selected they share one file with an extra column, the
-    class for the approximation being the one nearest eigenvalue 1.  The
-    time column is formatted once and shared by every file.
+    class for the approximation being the one nearest eigenvalue 1.  Each
+    phase kind is evaluated once and read by every quantity of that kind, and
+    the time column is formatted once and shared by every file.
     """
     g = resolve_graph(config.graph_source)
     if not (1 <= config.start_node <= g.n):
@@ -136,6 +137,8 @@ def cmd_evolve(config: RunConfig) -> int:
     time_text = serialize.format_numbers(ts)
     co_emit = "alpha_bar_sq" in config.quantities and "approx_alpha_bar_sq" in config.quantities
     approx_class = nearest_class(s, 1.0)
+    j = config.start_node
+    phases = {}  # the class phase table of each kind, evaluated on first use
 
     written = []
 
@@ -147,19 +150,26 @@ def cmd_evolve(config: RunConfig) -> int:
             _write(path, serialize.render_series(config.fmt, quantity, time_text, values, approx))
             written.append(path)
 
-    for quantity in QUANTITIES:
-        if quantity not in config.quantities or (quantity == "approx_alpha_bar_sq" and co_emit):
+    selected = [q for q in QUANTITIES if q in config.quantities
+                and not (q == "approx_alpha_bar_sq" and co_emit)]
+    last_read = {transport.PHASE_KINDS.get(q): q for q in selected}
+    for quantity in selected:
+        if quantity == "approx_alpha_bar_sq":
+            emit(quantity, [quantity], [transport.approx_alpha_bar_sq(s, approx_class, ts)])
             continue
+        kind = transport.PHASE_KINDS[quantity]
+        if kind not in phases:
+            phases[kind] = transport.class_phases(s, ts, kind)
+        names = [quantity]
         if quantity in PAIR_QUANTITIES:
-            j = config.start_node
             names = [f"{quantity}_k{k}_j{j}" for k in range(1, s.n + 1)]
-            emit(quantity, names, transport.pair_table(s, quantity, j, ts))
-            continue
-        ser = transport.series(s, config.grid, quantity, class_index=approx_class)
         approx = None
         if quantity == "alpha_bar_sq" and co_emit:
             approx = transport.approx_alpha_bar_sq(s, approx_class, ts)
-        emit(quantity, [quantity], [ser.values], approx)
+        # The last read of a kind hands its table over, for from_phases to free.
+        emit(quantity, names, transport.from_phases(
+            s, quantity, phases.pop(kind) if last_read[kind] == quantity else phases[kind], j,
+        ), approx)
     for path in written:
         print(path)
     return EXIT_OK

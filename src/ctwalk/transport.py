@@ -11,12 +11,14 @@ over each degeneracy class by one reduction, ``_class_sum``, and the phases
 taken at the class values, so pi-bar(t) >= |alpha-bar(t)|^2 and the Cesaro
 limit of a pair series is chi_{k,j} by construction.
 
-Time phases e^{-Et} and e^{-iEt} are evaluated in one place, ``_phases``,
-once per (spectrum, grid, kind) for each quantity.  Pair quantities go
-through one kernel, ``pair_kernel``: the scalar per-pair functions pass it a
-single weight row, and ``pair_table``, the one source of pair series, passes
-the rows of every target node at once, so all n series of one start node
-cost one phase table and one matrix product.
+Time phases e^{-Et} and e^{-iEt} are evaluated in one place, ``_phases``.
+``class_phases`` gives the table of one kind at the class values, and
+``from_phases`` reads any of the five quantities in PHASE_KINDS from the
+table of its kind, so a caller that holds one table per kind evaluates each
+kind once however many quantities it reads.  ``pair_table``, the one source
+of pair series, builds all n series of one start node from one phase table
+and one matrix product; the scalar per-pair functions pass a single weight
+row to ``pair_kernel``.
 
 Scalar time arguments give scalars; array arguments broadcast to arrays.
 Node labels are 1-based.
@@ -43,6 +45,16 @@ QUANTITIES = (
 PAIR_QUANTITIES = ("classical_pair", "quantum_pair")
 
 MATRIX_QUANTITIES = ("classical_transition", "quantum_transition", "lta")
+
+# The phase kind each quantity read from a class phase table is read from;
+# the cosine approximation is not one of them.
+PHASE_KINDS = {
+    "classical_pair": "classical",
+    "quantum_pair": "quantum",
+    "classical_avg_return": "classical",
+    "quantum_avg_return": "quantum",
+    "alpha_bar_sq": "quantum",
+}
 
 # Largest tolerated excursion of a probability outside [0, 1]; anything worse
 # is a solver bug and must not be clamped away silently.
@@ -154,6 +166,9 @@ def _check_prob_bounds(values: np.ndarray, what: str) -> None:
     if values.size == 0:
         return
     lo, hi = float(np.min(values)), float(np.max(values))
+    # min and max carry a NaN through, so one finiteness test covers every entry.
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"{what}: non-finite values (min {lo}, max {hi})")
     if lo < -PROB_SLACK or hi > 1.0 + PROB_SLACK:
         raise ValueError(f"{what}: values escape [0,1] beyond tolerance (min {lo}, max {hi})")
 
@@ -206,9 +221,13 @@ def pair_kernel(weights, eigenvalues, t, kind: str) -> np.ndarray:
     the class values, the rows are P_{k,j}(t) or the amplitudes alpha_{k,j}(t).
     """
     ts = _as_times(t, require_nonneg=kind == "classical")
-    phases = _phases(np.asarray(eigenvalues, dtype=float), ts, kind)
+    return _weighted(weights, _phases(np.asarray(eigenvalues, dtype=float), ts, kind))
+
+
+def _weighted(weights, phases: np.ndarray) -> np.ndarray:
+    """weights @ phases, with the weights made complex for a quantum table."""
     weights = np.asarray(weights, dtype=float)
-    return (weights if kind == "classical" else weights.astype(complex)) @ phases
+    return (weights.astype(complex) if np.iscomplexobj(phases) else weights) @ phases
 
 
 def _pair_weights(s: Spectrum, k, j: int) -> np.ndarray:
@@ -235,6 +254,37 @@ def quantum_prob(s: Spectrum, k: int, j: int, t):
     return _scalar_like(t, np.abs(np.asarray(amp)) ** 2)
 
 
+def class_phases(s: Spectrum, t, kind: str) -> np.ndarray:
+    """The (C, T) table of class phases e^{-E_c t} (classical) or
+    e^{-i E_c t} (quantum) that from_phases reads quantities of that kind from."""
+    return _phases(s.class_values, _as_times(t, require_nonneg=kind == "classical"), kind)
+
+
+def from_phases(s: Spectrum, quantity: str, phases: np.ndarray, j: int) -> np.ndarray:
+    """A quantity of PHASE_KINDS read from the class phase table of its kind,
+    as a table of series: one row per target node k (row k-1) of start node
+    j for a pair quantity, one row for an average (j is not read).  Checked
+    against the probability bounds and left unclamped.
+
+    A caller that passes its last reference to the table has it freed once
+    the weights have been applied, before the squares are taken."""
+    if quantity not in PHASE_KINDS:
+        raise ValueError(f"from_phases needs one of {tuple(PHASE_KINDS)}, got {quantity!r}")
+    if quantity in PAIR_QUANTITIES:
+        values = _weighted(_pair_weights(s, slice(None), _node_index(s, j, "j")), phases)
+    elif quantity == "quantum_avg_return":
+        values = _weighted(_class_sum(s, s.eigenvectors**2), phases)
+    else:
+        values = _weighted(_class_mults(s), phases) / s.n
+    del phases
+    if PHASE_KINDS[quantity] == "quantum":
+        values = np.abs(values) ** 2
+    if quantity == "quantum_avg_return":
+        values = np.mean(values, axis=0)
+    _check_prob_bounds(values, quantity)
+    return values if quantity in PAIR_QUANTITIES else values[np.newaxis]
+
+
 def pair_table(s: Spectrum, quantity: str, j: int, t) -> np.ndarray:
     """P_{k,j}(t) (classical_pair) or pi_{k,j}(t) (quantum_pair) for every
     target node k = 1..n: row k-1 holds target k.  One phase table, one
@@ -242,13 +292,7 @@ def pair_table(s: Spectrum, quantity: str, j: int, t) -> np.ndarray:
     values stay unclamped."""
     if quantity not in PAIR_QUANTITIES:
         raise ValueError(f"pair_table needs one of {PAIR_QUANTITIES}, got {quantity!r}")
-    ji = _node_index(s, j, "j")
-    kind = quantity.partition("_")[0]
-    table = pair_kernel(_pair_weights(s, slice(None), ji), s.class_values, t, kind)
-    if kind == "quantum":
-        table = np.abs(table) ** 2
-    _check_prob_bounds(table, quantity)
-    return table
+    return from_phases(s, quantity, class_phases(s, t, PHASE_KINDS[quantity]), j)
 
 
 def propagator(s: Spectrum, t: float, kind: str) -> np.ndarray:
@@ -282,24 +326,24 @@ def lta_matrix(s: Spectrum) -> ProbabilityMatrix:
     return ProbabilityMatrix(s.n, acc, quantity="lta")
 
 
+def _average(s: Spectrum, quantity: str, t):
+    return from_phases(s, quantity, class_phases(s, t, PHASE_KINDS[quantity]), 1)[0]
+
+
 def avg_return_classical(s: Spectrum, t):
     """P-bar(t) = (1/N) sum over classes of D_c e^{-t E_c}; eigenvalues only."""
-    ts = _as_times(t, require_nonneg=True)
-    return _scalar_like(t, (_class_mults(s) @ _phases(s.class_values, ts, "classical")) / s.n)
+    return _scalar_like(t, _average(s, "classical_avg_return", t))
 
 
 def avg_return_quantum(s: Spectrum, t):
     """pi-bar(t) = (1/N) sum_j |alpha_{j,j}(t)|^2; needs the eigenvectors."""
-    amps = pair_kernel(_class_sum(s, s.eigenvectors**2), s.class_values, t, "quantum")
-    return _scalar_like(t, np.mean(np.abs(amps) ** 2, axis=0))
+    return _scalar_like(t, _average(s, "quantum_avg_return", t))
 
 
 def alpha_bar_sq(s: Spectrum, t):
     """|alpha-bar(t)|^2 = |(1/N) sum over classes of D_c e^{-i t E_c}|^2,
     the eigenvalue-only lower bound of pi-bar(t)."""
-    ts = _as_times(t, require_nonneg=False)
-    amp = (_class_mults(s).astype(complex) @ _phases(s.class_values, ts, "quantum")) / s.n
-    return _scalar_like(t, np.abs(amp) ** 2)
+    return _scalar_like(t, _average(s, "alpha_bar_sq", t))
 
 
 def chi_bar(s: Spectrum) -> float:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ctwalk import transport
 from ctwalk.cli import main
 from ctwalk.graphs import (
     MAX_NODES,
@@ -13,7 +14,7 @@ from ctwalk.graphs import (
     read_edge_list,
 )
 from ctwalk.spectral import eigendecompose
-from ctwalk.transport import classical_prob, quantum_prob
+from ctwalk.transport import QUANTITIES, classical_prob, quantum_prob
 
 
 def run(capsys, *argv):
@@ -168,6 +169,26 @@ class TestEvolve:
         for name in names:
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
+    @pytest.mark.parametrize("quantities, kinds", [
+        ("quantum_pair,quantum_avg_return,alpha_bar_sq", ["quantum"]),
+        (",".join(QUANTITIES), ["classical", "quantum"]),
+    ])
+    def test_one_phase_table_per_kind(self, tmp_path, capsys, monkeypatch, quantities, kinds):
+        evaluated = []
+        phases = transport._phases
+
+        def spy(values, ts, kind):
+            evaluated.append(kind)
+            return phases(values, ts, kind)
+
+        monkeypatch.setattr(transport, "_phases", spy)
+        code, _, _ = run(
+            capsys,
+            "evolve", "--graph", "path:24", "--quantities", quantities, "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert evaluated == kinds
+
     def test_oversized_grid_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "out"
         code, _, err = run(
@@ -225,6 +246,41 @@ class TestLta:
         assert obj["labels"] == list(range(1, 11))
         entries = np.array(obj["entries"])
         assert np.max(np.abs(entries.sum(axis=1) - 1.0)) <= 1e-9
+
+
+def _csv_numbers(path):
+    """The columns of a CSV output file as the floats its text parses to."""
+    lines = path.read_text().splitlines()
+    rows = [[float(x) for x in line.split(",")] for line in lines[lines[0].startswith("t,"):]]
+    return [list(column) for column in zip(*rows)]
+
+
+class TestJsonOutput:
+    @pytest.mark.parametrize("graph", [f"family:{label}" for label in "abcde"] + ["star:40"])
+    def test_json_is_json_dumps_of_the_csv_numbers(self, tmp_path, capsys, graph):
+        # Each JSON file holds the bytes json.dumps(indent=2) writes for the
+        # numbers that the CSV file of the same run holds as %.15g text.
+        evolve = ("evolve", "--graph", graph, "--times", "0:50:0.05", "--start-node", "2",
+                  "--quantities", ",".join(QUANTITIES))
+        for fmt in ("csv", "json"):
+            assert run(capsys, *evolve, "--format", fmt, "--out", str(tmp_path / fmt))[0] == 0
+            assert run(capsys, "lta", "--graph", graph, "--format", fmt,
+                       "--out", str(tmp_path / f"lta_{fmt}"))[0] == 0
+        entries = [list(row) for row in zip(*_csv_numbers(tmp_path / "lta_csv" / "lta.csv"))]
+        n = len(entries)
+        obj = {"quantity": "lta", "n": n, "labels": list(range(1, n + 1)), "time": None,
+               "entries": entries}
+        assert (tmp_path / "lta_json" / "lta.json").read_text() == json.dumps(obj, indent=2) + "\n"
+        csv_files = sorted((tmp_path / "csv").iterdir())
+        assert len(csv_files) == 2 * n + 3
+        for path in csv_files:
+            quantity = path.stem.split("_k")[0]
+            columns = _csv_numbers(path)
+            obj = {"quantity": quantity, "times": columns[0], "values": columns[1]}
+            if len(columns) == 3:
+                obj["approx"] = columns[2]
+            text = (tmp_path / "json" / f"{path.stem}.json").read_text()
+            assert text == json.dumps(obj, indent=2) + "\n", path.name
 
 
 class TestReport:

@@ -1,9 +1,12 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from ctwalk.analysis import EfficiencyReport
+from ctwalk.graphs import gen_path, laplacian
+from ctwalk.spectral import eigendecompose
 from ctwalk.serialize import (
     fmt_number,
     format_numbers,
@@ -13,7 +16,7 @@ from ctwalk.serialize import (
     report_to_text,
     render_series,
 )
-from ctwalk.transport import ProbabilityMatrix, TransportSeries
+from ctwalk.transport import ProbabilityMatrix, TransportSeries, pair_table
 
 
 def _report(equipartition_time=30.61):
@@ -52,9 +55,53 @@ class TestNumbers:
         with pytest.raises(ValueError, match="escape"):
             ProbabilityMatrix(2, np.array([[1.0, -1e-6], [0.0, 1.0]]), "lta")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_probabilities_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            TransportSeries("alpha_bar_sq", np.array([0.0, 1.0]), np.array([bad, 0.5]))
+        with pytest.raises(ValueError, match="non-finite"):
+            ProbabilityMatrix(2, np.array([[bad, 0.0], [0.0, 1.0]]), "lta")
+
+    def test_non_finite_pair_table_rejected(self):
+        s = eigendecompose(laplacian(gen_path(3)))
+        for quantity in ("classical_pair", "quantum_pair"):
+            with pytest.raises(ValueError, match="non-finite"):
+                pair_table(s, quantity, 1, [0.0, np.nan])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_series_columns_rejected(self, fmt, bad):
+        times = format_numbers([0.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            render_series(fmt, "alpha_bar_sq", times, np.array([1.0, 0.5]), np.array([0.9, bad]))
+        with pytest.raises(ValueError, match="finite"):
+            render_series(fmt, "approx_alpha_bar_sq", times, np.array([bad, 0.5]))
+        with pytest.raises(ValueError, match="finite"):
+            render_series(fmt, "quantum_pair", times, np.array([bad, 0.5]))
+
 
 EDGE_VALUES = [0.0, 1.0, -0.0, 5e-324, 1e-5, 0.1 + 0.2, 1e16, 1 / 3, 2.5e-7, 123456789012345.6,
                -0.28, -1e-12, -3.0000000000000004, np.nextafter(1.0, 0.0), 1e-300, 1e300]
+
+
+# Where %.15g text and json's float repr part ways: exponent e+15 and subnormals.
+JSON_EDGE_VALUES = EDGE_VALUES + [1e15, 1.2345e15, -1e15, 9.99999999999999e15, 5e-324]
+
+
+def _random_magnitudes(size, seed):
+    """Values of both signs, magnitudes log-uniform from 1e-330 (below the
+    smallest subnormal, so some are zero) to 1e308."""
+    rng = np.random.default_rng(seed)
+    return rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-330.0, 308.0, size)
+
+
+def _rounded(values):
+    """The floats the %.15g text of the values parses back to."""
+    return [float(text) for text in format_numbers(values)]
+
+
+def _reference(obj):
+    return json.dumps(obj, indent=2) + "\n"
 
 
 def _csv(ser, approx=None):
@@ -126,6 +173,70 @@ class TestOneShotFormatter:
         )
 
 
+class TestJsonWriter:
+    """The JSON writer gives the bytes of json.dumps(indent=2) on the floats
+    that the %.15g text parses back to."""
+
+    VALUES = np.concatenate([JSON_EDGE_VALUES, _random_magnitudes(2000, 5)])
+
+    @pytest.mark.parametrize("with_approx", [False, True])
+    def test_series_matches_json_dumps(self, with_approx):
+        times, values = self.VALUES, self.VALUES[::-1]
+        if with_approx:
+            probs = np.clip(np.abs(values), 0.0, 1.0)
+            out = render_series("json", "alpha_bar_sq", format_numbers(times), probs, values)
+            obj = {"quantity": "alpha_bar_sq", "times": _rounded(times),
+                   "values": _rounded(probs), "approx": _rounded(values)}
+        else:
+            out = render_series("json", "approx_alpha_bar_sq", format_numbers(times), values)
+            obj = {"quantity": "approx_alpha_bar_sq", "times": _rounded(times),
+                   "values": _rounded(values)}
+        assert out == _reference(obj)
+
+    def test_series_clips_probabilities_like_csv(self):
+        times = np.arange(len(self.VALUES), dtype=float)
+        out = render_series("json", "quantum_pair", format_numbers(times), self.VALUES)
+        clipped = np.clip(self.VALUES, 0.0, 1.0)
+        assert out == _reference({"quantity": "quantum_pair", "times": _rounded(times),
+                                  "values": _rounded(clipped)})
+
+    def test_empty_series(self):
+        out = render_series("json", "alpha_bar_sq", [], np.array([]))
+        assert out == _reference({"quantity": "alpha_bar_sq", "times": [], "values": []})
+
+    @pytest.mark.parametrize("time", [None, 0.0, 2.5, 1e15, 1.2345e15, 1e16, 5e-324])
+    def test_matrix_matches_json_dumps(self, time):
+        entries = 10.0 ** np.random.default_rng(7).uniform(-330.0, 0.0, (45, 45))
+        entries[0, :6] = [0.0, 1.0, 5e-324, 1e-300, 1 / 3, 0.1 + 0.2]
+        m = ProbabilityMatrix(45, entries, "quantum_transition" if time is not None else "lta", time)
+        obj = {
+            "quantity": m.quantity,
+            "n": 45,
+            "labels": list(range(1, 46)),
+            "time": None if time is None else _rounded(time)[0],
+            "entries": [_rounded(row) for row in entries],
+        }
+        assert matrix_to_json(m) == _reference(obj)
+
+    def test_empty_matrix(self):
+        m = ProbabilityMatrix(0, np.zeros((0, 0)), "lta")
+        obj = {"quantity": "lta", "n": 0, "labels": [], "time": None, "entries": []}
+        assert matrix_to_json(m) == _reference(obj)
+
+    @pytest.mark.parametrize("value", JSON_EDGE_VALUES)
+    def test_report_matches_json_dumps(self, value):
+        report = EfficiencyReport(
+            label="star \u2606 \"e\"", n=10, q=9, symmetry_degree=8, chi_bar=value,
+            chi_bar_lb=1.0, classical_slope=-value, quantum_slope=1e15,
+            classical_asymptote=0.1, equipartition_time=None, verdict="indeterminate",
+        )
+        obj = asdict(report)
+        for key, field in obj.items():
+            if isinstance(field, float):
+                obj[key] = _rounded(field)[0]
+        assert report_to_json(report) == _reference(obj)
+
+
 class TestSeriesExport:
     def test_csv_layout(self):
         ser = TransportSeries("alpha_bar_sq", np.array([0.0, 0.5]), np.array([1.0, 0.25]))
@@ -195,6 +306,11 @@ class TestReportExport:
             "equipartition_time",
             "verdict",
         }
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_json_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="no number"):
+            report_to_json(_report(equipartition_time=bad))
 
     def test_unreached_equipartition(self):
         obj = json.loads(report_to_json(_report(equipartition_time=None)))

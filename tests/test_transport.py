@@ -9,6 +9,7 @@ from ctwalk.graphs import from_edge_list, gen_broom, gen_cycle, gen_path, gen_st
 from ctwalk.spectral import eigendecompose, nearest_class
 from ctwalk.transport import (
     MAX_GRID_POINTS,
+    PHASE_KINDS,
     ProbabilityMatrix,
     TimeGrid,
     TransportSeries,
@@ -18,7 +19,9 @@ from ctwalk.transport import (
     avg_return_quantum,
     chi_bar,
     chi_bar_lb,
+    class_phases,
     classical_prob,
+    from_phases,
     lta_matrix,
     pair_kernel,
     pair_table,
@@ -207,6 +210,32 @@ class TestPairTable:
             pair_table(k2_spectrum, "classical_pair", 1, [-1.0])
         with pytest.raises(ValueError, match="kind must be"):
             pair_kernel([[1.0, 0.0]], k2_spectrum.eigenvalues, [0.0], "thermal")
+
+
+class TestSharedPhases:
+    def test_one_table_per_kind_reads_every_quantity(self, family_spectra):
+        s, ts = family_spectra["d"], np.linspace(0.0, 20.0, 401)
+        tables = {kind: class_phases(s, ts, kind) for kind in ("classical", "quantum")}
+        singles = {
+            "classical_avg_return": avg_return_classical,
+            "quantum_avg_return": avg_return_quantum,
+            "alpha_bar_sq": alpha_bar_sq,
+        }
+        for quantity, kind in PHASE_KINDS.items():
+            shared = from_phases(s, quantity, tables[kind], 4)
+            if quantity in singles:
+                assert np.array_equal(shared, [singles[quantity](s, ts)])
+            else:
+                assert np.array_equal(shared, pair_table(s, quantity, 4, ts))
+
+    def test_validation(self, k2_spectrum):
+        phases = class_phases(k2_spectrum, [0.0, 1.0], "quantum")
+        with pytest.raises(ValueError, match="from_phases needs"):
+            from_phases(k2_spectrum, "approx_alpha_bar_sq", phases, 1)
+        with pytest.raises(ValueError, match="j must be"):
+            from_phases(k2_spectrum, "quantum_pair", phases, 3)
+        with pytest.raises(ValueError, match="t >= 0"):
+            class_phases(k2_spectrum, [-1.0], "classical")
 
 
 class TestTransitionMatrix:
