@@ -134,7 +134,7 @@ def cmd_evolve(config: RunConfig) -> int:
     _prepare_out_dir(config.out_dir)
 
     ts = config.grid.times()
-    time_text = serialize.format_numbers(ts)
+    times = serialize.TimeColumn(ts)
     co_emit = "alpha_bar_sq" in config.quantities and "approx_alpha_bar_sq" in config.quantities
     approx_class = nearest_class(s, 1.0)
     j = config.start_node
@@ -147,7 +147,7 @@ def cmd_evolve(config: RunConfig) -> int:
         # before the next one is built.
         for name, values in zip(names, rows):
             path = config.out_dir / f"{name}.{config.fmt}"
-            _write(path, serialize.render_series(config.fmt, quantity, time_text, values, approx))
+            _write(path, serialize.render_series(config.fmt, quantity, times, values, approx))
             written.append(path)
 
     selected = [q for q in QUANTITIES if q in config.quantities

@@ -1,20 +1,46 @@
 """CSV/JSON emission for series, probability matrices, and reports.
 
 Numbers are rendered with 15 significant digits, fixed column order, LF line
-endings, so identical configurations produce byte-identical files.  There is
-one number formatter, ``_fill``: it renders a whole column or table with one
-%-operation over a template holding a ``%.15g`` slot per number, which gives
-the same text as ``f"{x:.15g}"`` for every float.  There is one series
-serializer, ``render_series``: it takes the value column(s) as arrays and the
-time grid as text already formatted by ``format_numbers``, so a grid shared
-by several series is formatted once.
+endings, so identical configurations produce byte-identical files.
+
+There is one number formatter, ``format_column``.  It returns a text table:
+one row of bytes per number, holding exactly the text of ``'%.15g' % x`` with
+NUL bytes in any unused places, which ``bytes.translate`` deletes when the
+table is written out.  Writers lay separators beside the rows and squeeze the
+whole file in one pass.  There is one series serializer, ``render_series``:
+it takes the value column(s) as arrays and the time grid as a
+``TimeColumn``, so a grid shared by several series is formatted once, in
+each format.
+
+Inputs of fewer than ``_VECTOR_MIN`` numbers are formatted by one
+%-operation over a template with a ``%.15g`` slot per number.  Larger inputs
+are formatted in numpy, with the same bytes:
+
+* Each x is written as D * 10^(E-14), with D the correctly rounded 15-digit
+  integer and E the decimal exponent, E = floor(log10|x|).  The product
+  |x| * 10^(14-E) is formed exactly as a sum of doubles, by Dekker's
+  two-product with 10^(14-E) held as a double-double (hi, lo) that is built
+  once, in integer arithmetic, on first use.  With fl the floor of the
+  leading double and r the remainder (fraction plus error terms), D is
+  fl + (r > 0.5).  A D rounded up to 1e15 becomes 1e14 with E + 1, which is
+  how 9.9999999999999995e-05 becomes "0.0001".
+* D's digits come from a table of 4-digit texts, in a full and a
+  trailing-zeros-as-NUL version, and are laid out as %.15g lays them out:
+  fixed notation for -4 <= E < 15, exponent notation otherwise, trailing
+  fraction zeros and a bare point dropped, a '-' sign, and "0" and "-0".
+* A number is formatted by ``'%.15g' % x`` instead when the remainder is
+  within ``_TIE_MARGIN`` of one half (ties such as 19661 * 2**-16 and
+  near-ties), when log10 was one off and the product fell outside
+  [1e14, 1e15) (only just beside a power of ten), when its magnitude is
+  outside [1e-250, 1e250] (where the double-double terms could leave the
+  normal range; this includes subnormals), and when it is not finite.
 
 JSON is written in the layout of ``json.dumps(obj, indent=2)``, keys in a
 fixed order, and each JSON number is the token ``json.dumps`` writes for the
-float that the ``%.15g`` text parses back to, derived from that text by one
-rule, ``_json_tokens``.  A decimal of at most 15 significant digits survives
-the round trip through a double, so a text with a decimal point and no
-exponent is that token already.  Every other text is written as
+float that the ``%.15g`` text parses back to, derived from the text table by
+one rule, ``_json_tokens``.  A decimal of at most 15 significant digits
+survives the round trip through a double, so a text with a decimal point and
+no exponent is that token already.  Every other text is written as
 ``repr(float(text))``: an integral text gains ".0" ("1" -> "1.0", "-0" ->
 "-0.0"); the exponent e+15, where ``%.15g`` switches to exponent notation
 one decade before repr, becomes fixed notation ("1e+15" ->
@@ -31,6 +57,7 @@ exempt (it is not a probability).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict
@@ -42,25 +69,209 @@ from .transport import ProbabilityMatrix
 
 _NUMBER = "%.15g"
 
+# Below this many numbers one %-operation over a template is faster than the
+# numpy path, whose fixed cost is about 0.2 ms per call; the two cost the
+# same at about 256 numbers on a 2-vCPU Xeon VM (Python 3.11, numpy 2.4).
+_VECTOR_MIN = 256
 
-def _fill(template: str, values) -> str:
-    """Fill the %.15g slots of template, in order, with the values (any
-    array shape, read row-major)."""
-    return template % tuple(np.asarray(values, dtype=float).ravel().tolist())
+# Magnitudes the numpy path formats itself (zero aside).  Within the range
+# every double-double term below stays a normal double.
+_LOW, _HIGH = 1e-250, 1e250
+
+# The computed remainder r differs from the exact one by less than 2e-16:
+# 10^k = hi + lo to a relative 2^-106, |x| * hi is exact, |x| * lo is rounded
+# once (an absolute 2^-53 * 0.11 for a product below 1e15), and the two sums
+# that form r add at most 2^-53 * 1.2.  A remainder within this margin of one
+# half is a tie or a near-tie, and %-formatting decides it.
+_TIE_MARGIN = 1e-6
+
+_SPLITTER = 134217729.0  # 2**27 + 1, Dekker's split of a double into halves
+_K_MIN, _K_MAX = -240, 270  # the powers 10^k a scaling can need
+_E_MIN, _E_MAX = -330, 330  # exponents with a suffix text
+# Eight text bytes read as one number, byte j at bits 8j..8j+7 on any host.
+_WORD = np.dtype("<u8")
+
+
+def _words(texts, width: int) -> np.ndarray:
+    """Texts as NUL-padded byte strings of the given width, read as words."""
+    return np.array(texts, dtype=f"S{width}").view(_WORD)
+
+
+@functools.cache
+def _text_tables() -> tuple[np.ndarray, ...]:
+    """The text pieces of the numpy path, built on its first use:
+
+    * the 4-digit text of 0..9999 as 4 bytes, then the same texts with
+      trailing zeros as NUL;
+    * by s, the number of integer digits before the point (0 for
+      "0.000ddd"), the 16 mantissa bytes as two words: a mask of the bytes
+      below s, which hold integer digits, a mask of the bytes above s, which
+      hold fraction digits, and the point at byte s (none for s = 0);
+    * by 5 * sign + zeros, the sign and the "0." and zeros that fixed
+      notation puts before a number below 1;
+    * the exponent texts e-330..e+330, then the empty suffix of fixed
+      notation.
+    """
+    digits = (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10).astype(np.uint8)
+    significant = np.logical_or.accumulate(digits[:, ::-1] != 0, axis=1)[:, ::-1]
+    groups = np.concatenate([digits + 48, np.where(significant, digits + 48, 0)])
+    return (
+        groups.astype(np.uint8).view("<u4").ravel(),
+        _words([b"\xff" * s for s in range(16)], 16).reshape(16, 2).T.copy(),
+        _words([b"\0" * (s + 1) + b"\xff" * (15 - s) for s in range(16)], 16).reshape(16, 2).T.copy(),
+        _words([b""] + [b"\0" * s + b"." for s in range(1, 16)], 16).reshape(16, 2).T.copy(),
+        _words(["", "0.", "0.0", "0.00", "0.000", "-", "-0.", "-0.0", "-0.00", "-0.000"], 8),
+        _words(["e%+03d" % e for e in range(_E_MIN, _E_MAX + 1)] + [""], 8),
+    )
+
+
+@functools.cache
+def _powers_of_ten() -> tuple[np.ndarray, ...]:
+    """10^k for k in _K_MIN.._K_MAX as a double-double hi + lo, with hi split
+    into halves for Dekker's product: (hi, hi_high, hi_low, lo).  Each term
+    is a correctly rounded integer quotient, so no Fraction is needed."""
+    hi, lo = [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        if k >= 0:
+            hi.append(float(10**k))
+            lo.append(float(10**k - int(hi[-1])))
+        else:
+            hi.append(1 / 10**-k)
+            num, den = hi[-1].as_integer_ratio()
+            lo.append((den - num * 10**-k) / (den * 10**-k))
+    hi = np.array(hi)
+    c = hi * _SPLITTER
+    hi_high = c - (c - hi)
+    return hi, hi_high, hi - hi_high, np.array(lo)
+
+
+def _digits_and_exponent(x):
+    """D, E (see the module docstring) of each value, zero for zeros, and a
+    mask of the values left to %-formatting."""
+    ax = np.abs(x)
+    own = (ax >= _LOW) & (ax <= _HIGH)
+    a = np.where(own, ax, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    hi, hi_high, hi_low, lo = (np.take(t, 14 - e - _K_MIN) for t in _powers_of_ten())
+    c = a * _SPLITTER
+    a_high = c - (c - a)
+    a_low = a - a_high
+    p = a * hi
+    err = ((a_high * hi_high - p) + a_high * hi_low + a_low * hi_high) + a_low * hi_low
+    fl = np.floor(p)
+    r = (p - fl) + (err + a * lo)
+    # log10 can be one off just beside a power of ten; the product then lies
+    # outside [1e14, 1e15), and such values go to %-formatting with the ties.
+    unsure = (np.abs(r - 0.5) <= _TIE_MARGIN) | (fl >= 1e15) | ((fl - 1e14) + r < 0)
+    d = fl.astype(np.int64) + (r > 0.5)
+    carry = d == 10**15
+    d[carry] = 10**14
+    e += carry
+    return np.where(own, d, 0), np.where(own, e, 0), np.where(own, unsure, ax != 0)
+
+
+def _text_rows(texts) -> np.ndarray:
+    rows = np.array(texts, dtype="S")
+    return rows.view(np.uint8).reshape(len(texts), rows.itemsize)
+
+
+def format_column(values) -> np.ndarray:
+    """The %.15g text of each value (any array shape, read row-major) as one
+    row of a uint8 text table; unused bytes are NUL (see the module
+    docstring)."""
+    x = np.asarray(values, dtype=float).ravel()
+    if x.size < _VECTOR_MIN:
+        return _text_rows(((_NUMBER + "\n") * x.size % tuple(x.tolist())).split("\n")[:-1])
+    d, e, unsure = _digits_and_exponent(x)
+    group_texts, int_mask, frac_mask, point_at, prefix, suffix = _text_tables()
+    # Four 4-digit groups; D < 1e15, so the first group's text starts with a
+    # '0' and digit j of D is byte j + 1 of the 16.
+    g0 = d // 10**12
+    rest = d - g0 * 10**12
+    g1 = rest // 10**8
+    rest -= g1 * 10**8
+    g2 = rest // 10**4
+    g3 = rest - g2 * 10**4
+    groups = np.stack([g0, g1, g2, g3], axis=1)
+    full = group_texts[groups].view(_WORD)
+    # A group is written without its trailing zeros when every later group is 0.
+    zero3 = g3 == 0
+    zero23 = zero3 & (g2 == 0)
+    groups[:, 3] += 10000
+    groups[:, 2] += 10000 * zero3
+    groups[:, 1] += 10000 * zero23
+    groups[:, 0] += 10000 * (zero23 & (g1 == 0))
+    stripped = group_texts[groups].view(_WORD)
+
+    fixed = (e >= -4) & (e < 15)
+    s = np.where(fixed, np.maximum(e + 1, 0), 1)
+    frac0 = stripped[:, 0] & np.take(frac_mask[0], s)
+    frac1 = stripped[:, 1] & np.take(frac_mask[1], s)
+    point = (frac0 | frac1) != 0
+    # One row of 8 text bytes per word: prefix, two mantissa words, suffix.
+    words = np.empty((4, x.size), _WORD)
+    words[0] = np.take(prefix, np.where(fixed & (e < 0), -e, 0) + 5 * np.signbit(x))
+    # The integer digits are the full digits moved down one byte.
+    words[1] = ((full[:, 0] >> 8) | (full[:, 1] << 56)) & np.take(int_mask[0], s)
+    words[1] |= frac0 | np.take(point_at[0], s) * point
+    words[2] = (full[:, 1] >> 8) & np.take(int_mask[1], s)
+    words[2] |= frac1 | np.take(point_at[1], s) * point
+    words[3] = np.take(suffix, np.where(fixed, _E_MAX + 1, e) - _E_MIN)
+    rows = np.flatnonzero(unsure)
+    if rows.size:
+        words[:, rows] = _words([_NUMBER % v for v in x[rows].tolist()], 32).reshape(-1, 4).T
+    # Words no number uses are left out.
+    return np.ascontiguousarray(words[words.any(axis=1)].T).view(np.uint8)
+
+
+def _squeeze(parts) -> str:
+    """The rows of the tables side by side, NULs removed."""
+    return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _bytes(text: str, n: int) -> np.ndarray:
+    """The same separator text on each of n rows."""
+    return np.broadcast_to(np.frombuffer(text.encode(), np.uint8), (n, len(text)))
+
+
+def _texts(table) -> list[str]:
+    return _squeeze([table, _bytes("\n", len(table))]).split("\n")[:-1]
 
 
 def format_numbers(values) -> list[str]:
     """Each value as 15-significant-digit text, in row-major order."""
-    return _fill((_NUMBER + "\n") * np.size(values), values).split("\n")[:-1]
+    return _texts(format_column(values))
 
 
 def fmt_number(x: float) -> str:
-    return _fill(_NUMBER, x)
+    return format_numbers(x)[0]
 
 
-def _json_tokens(texts) -> list[str]:
-    """The JSON number token of each %.15g text (see the module docstring)."""
-    return [text if "." in text and "e" not in text else _repr_token(text) for text in texts]
+def _json_tokens(table) -> np.ndarray:
+    """The JSON number token of each text of a text table (see the module
+    docstring), as a text table."""
+    n, width = table.shape
+    tokens = np.zeros((n, max(width, 24) + 2), np.uint8)
+    tokens[:, :width] = table
+    exponent = (table == ord("e")).any(axis=1)
+    integral = ~exponent & ~(table == ord(".")).any(axis=1)
+    tokens[integral, -2:] = np.frombuffer(b".0", np.uint8)
+    # The exponent text follows the 'e': a sign and two or three digits.
+    rows = np.flatnonzero(exponent)
+    texts = tokens[rows]
+    at = np.argmax(texts == ord("e"), axis=1)
+    sign, d1, d2, d3 = np.take_along_axis(texts, at[:, None] + np.arange(1, 5), axis=1).T.astype(int)
+    three = d3 != 0
+    power = np.where(three, 100 * d1 + 10 * d2 + d3 - 5328, 10 * d1 + d2 - 528)
+    plus_15 = (sign == ord("+")) & ~three & (power == 15)
+    from_minus_308 = (sign == ord("-")) & three & (power >= 308)
+    # Those, and inf and nan, go through repr.
+    odd = np.union1d(rows[plus_15 | from_minus_308], np.flatnonzero((table == ord("n")).any(axis=1)))
+    if odd.size:
+        reprs = _text_rows([_repr_token(text) for text in _texts(table[odd])])
+        tokens[odd] = 0
+        tokens[odd, : reprs.shape[1]] = reprs
+    return tokens
 
 
 def _repr_token(text: str) -> str:
@@ -71,7 +282,7 @@ def _repr_token(text: str) -> str:
 
 
 def _json_numbers(values) -> list[str]:
-    return _json_tokens(format_numbers(values))
+    return _texts(_json_tokens(format_column(values)))
 
 
 def _json_array(items: list[str], indent: str) -> str:
@@ -83,6 +294,15 @@ def _json_array(items: list[str], indent: str) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
 
 
+def _json_number_array(table, indent: str) -> str:
+    """_json_array of the tokens of a text table, joined in one pass."""
+    if not len(table):
+        return "[]"
+    inner = "\n" + indent + "  "
+    body = _squeeze([_bytes(inner, len(table)), _json_tokens(table), _bytes(",", len(table))])
+    return "[" + body[:-1] + "\n" + indent + "]"
+
+
 def _json_object(fields: dict) -> str:
     """A top-level JSON object of encoded values, as json.dumps(indent=2)
     writes it, with a final newline."""
@@ -90,14 +310,30 @@ def _json_object(fields: dict) -> str:
     return "{\n" + ",\n".join(members) + "\n}\n"
 
 
-def render_series(fmt: str, quantity: str, time_text, values, approx=None) -> str:
-    """One series file ('csv' or 'json') on a time grid already formatted by
-    format_numbers: a 't,value' table, or 't,value,approx' when the
+class TimeColumn:
+    """A time grid formatted once for every series file written on it: its
+    text table, and the JSON array of its tokens, made on first use."""
+
+    def __init__(self, times):
+        self.table = format_column(times)
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    @functools.cached_property
+    def json_array(self) -> str:
+        return _json_number_array(self.table, "  ")
+
+
+def render_series(fmt: str, quantity: str, times: TimeColumn, values, approx=None) -> str:
+    """One series file ('csv' or 'json') on a time grid already formatted as
+    a TimeColumn: a 't,value' table, or 't,value,approx' when the
     approximation column is given.  Values tagged as probabilities are
     clipped; the approximation column is written as given.  A non-finite
     value in either column is rejected."""
+    n = len(times)
     columns = [values] if approx is None else [values, approx]
-    if any(np.shape(c) != (len(time_text),) for c in columns):
+    if any(np.shape(c) != (n,) for c in columns):
         raise ValueError("series columns must match the time column")
     table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
     if not np.isfinite(table).all():
@@ -106,25 +342,28 @@ def render_series(fmt: str, quantity: str, time_text, values, approx=None) -> st
         table[:, 0] = np.clip(table[:, 0], 0.0, 1.0)
     if fmt == "csv":
         text = "t,value\n" if approx is None else "t,value,approx\n"
-        if time_text:
-            slots = ("," + _NUMBER) * len(columns) + "\n"
-            text += _fill(slots.join(time_text) + slots, table)
+        if n:
+            parts = [times.table]
+            for column in table.T:
+                parts += [_bytes(",", n), format_column(column)]
+            text += _squeeze(parts + [_bytes("\n", n)])
         return text
     if fmt == "json":
         fields = {
             "quantity": json.dumps(quantity),
-            "times": _json_array(_json_tokens(time_text), "  "),
+            "times": times.json_array,
         }
         for key, column in zip(("values", "approx"), table.T):
-            fields[key] = _json_array(_json_numbers(column), "  ")
+            fields[key] = _json_number_array(format_column(column), "  ")
         return _json_object(fields)
     raise ValueError(f"fmt must be 'csv' or 'json', got {fmt!r}")
 
 
 def matrix_to_csv(matrix: ProbabilityMatrix) -> str:
     """Bare n x n grid, row k, column j."""
-    row = ",".join([_NUMBER] * matrix.n) + "\n"
-    return _fill(row * matrix.n, np.clip(matrix.entries, 0.0, 1.0))
+    ends = np.full((matrix.n, matrix.n), ord(","), np.uint8)
+    ends[:, -1:] = ord("\n")
+    return _squeeze([format_column(np.clip(matrix.entries, 0.0, 1.0)), ends.reshape(-1, 1)])
 
 
 def matrix_to_json(matrix: ProbabilityMatrix) -> str:
@@ -141,22 +380,23 @@ def matrix_to_json(matrix: ProbabilityMatrix) -> str:
 
 
 def report_to_json(report: EfficiencyReport) -> str:
-    return _json_object({
-        key: _json_numbers(value)[0] if isinstance(value, float) else json.dumps(value)
-        for key, value in asdict(report).items()
-    })
+    fields = asdict(report)
+    floats = [key for key, value in fields.items() if isinstance(value, float)]
+    tokens = dict(zip(floats, _json_numbers([fields[key] for key in floats])))
+    return _json_object({key: tokens.get(key) or json.dumps(value) for key, value in fields.items()})
 
 
 def report_to_text(report: EfficiencyReport) -> str:
     """Aligned two-column table for terminal display."""
+    fields = asdict(report)
+    floats = [key for key, value in fields.items() if isinstance(value, float)]
+    texts = dict(zip(floats, format_numbers([fields[key] for key in floats])))
     rows = []
-    for key, value in asdict(report).items():
+    for key, value in fields.items():
         if value is None:
             rendered = "not reached"
-        elif isinstance(value, float):
-            rendered = fmt_number(value)
         else:
-            rendered = str(value)
+            rendered = texts.get(key) or str(value)
         rows.append((key, rendered))
     width = max(len(key) for key, _ in rows)
     return "\n".join(f"{key:<{width}}  {rendered}" for key, rendered in rows) + "\n"

@@ -315,10 +315,17 @@ def transition_matrix(s: Spectrum, t: float, kind: str) -> ProbabilityMatrix:
 
 def lta_matrix(s: Spectrum) -> ProbabilityMatrix:
     """chi_{k,j} for all pairs: sum over classes of the squared entries of the
-    class eigenprojector.  Symmetric; rows and columns sum to 1."""
-    acc = np.zeros((s.n, s.n))
-    bounds = np.append(s.class_starts, s.n).tolist()
-    for start, stop in zip(bounds, bounds[1:]):
+    class eigenprojector.  A simple class's projector q q^T squares to
+    (q*q)(q*q)^T, so the simple classes together are one matrix product; only
+    the degenerate classes build their projector.  Symmetric; rows and
+    columns sum to 1."""
+    bounds = np.append(s.class_starts, s.n)
+    sizes = np.diff(bounds)
+    squares = s.eigenvectors[:, s.class_starts[sizes == 1]] ** 2
+    acc = squares @ squares.T
+    acc = 0.5 * (acc + acc.T)
+    degenerate = sizes > 1
+    for start, stop in zip(bounds[:-1][degenerate].tolist(), bounds[1:][degenerate].tolist()):
         qc = s.eigenvectors[:, start:stop]
         proj = qc @ qc.T
         proj = 0.5 * (proj + proj.T)

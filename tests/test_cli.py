@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from ctwalk import transport
-from ctwalk.cli import main
+from ctwalk.cli import main, parse_times
 from ctwalk.graphs import (
     MAX_NODES,
     format_edge_list,
     gen_cycle,
     gen_family,
+    gen_path,
+    gen_star,
     laplacian,
     read_edge_list,
 )
@@ -188,6 +190,23 @@ class TestEvolve:
         )
         assert code == 0
         assert evaluated == kinds
+
+    @pytest.mark.parametrize("graph, times", [("path:300", "0:50:0.05"), ("star:40", "0:50:0.01")])
+    def test_pair_files_match_fstring(self, tmp_path, capsys, graph, times):
+        code, _, _ = run(
+            capsys,
+            "evolve", "--graph", graph, "--times", times, "--start-node", "2",
+            "--quantities", "classical_pair,quantum_pair", "--out", str(tmp_path),
+        )
+        assert code == 0
+        kind, _, rest = graph.partition(":")
+        s = eigendecompose(laplacian({"path": gen_path, "star": gen_star}[kind](int(rest))))
+        ts = parse_times(times).times()
+        for quantity in ("classical_pair", "quantum_pair"):
+            table = np.clip(transport.pair_table(s, quantity, 2, ts), 0.0, 1.0)
+            for k, values in enumerate(table, start=1):
+                expected = "t,value\n" + "".join(f"{t:.15g},{x:.15g}\n" for t, x in zip(ts, values))
+                assert (tmp_path / f"{quantity}_k{k}_j2.csv").read_text() == expected
 
     def test_oversized_grid_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -4,10 +4,12 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from ctwalk import serialize
 from ctwalk.analysis import EfficiencyReport
 from ctwalk.graphs import gen_path, laplacian
 from ctwalk.spectral import eigendecompose
 from ctwalk.serialize import (
+    TimeColumn,
     fmt_number,
     format_numbers,
     matrix_to_csv,
@@ -71,7 +73,7 @@ class TestNumbers:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_series_columns_rejected(self, fmt, bad):
-        times = format_numbers([0.0, 1.0])
+        times = TimeColumn([0.0, 1.0])
         with pytest.raises(ValueError, match="finite"):
             render_series(fmt, "alpha_bar_sq", times, np.array([1.0, 0.5]), np.array([0.9, bad]))
         with pytest.raises(ValueError, match="finite"):
@@ -105,11 +107,11 @@ def _reference(obj):
 
 
 def _csv(ser, approx=None):
-    return render_series("csv", ser.quantity, format_numbers(ser.times), ser.values, approx)
+    return render_series("csv", ser.quantity, TimeColumn(ser.times), ser.values, approx)
 
 
 def _json(ser, approx=None):
-    return render_series("json", ser.quantity, format_numbers(ser.times), ser.values, approx)
+    return render_series("json", ser.quantity, TimeColumn(ser.times), ser.values, approx)
 
 
 def _fstring_csv(header, *columns):
@@ -144,7 +146,7 @@ class TestOneShotFormatter:
 
     def test_shared_time_column(self):
         ts = np.linspace(0.0, 3.0, 31)
-        text = format_numbers(ts)
+        text = TimeColumn(ts)
         for values in (np.cos(ts) ** 2, np.sin(ts) ** 2):
             csv = render_series("csv", "quantum_pair", text, values)
             assert csv == _fstring_csv("t,value", ts, values)
@@ -154,9 +156,9 @@ class TestOneShotFormatter:
 
     def test_render_validation(self):
         with pytest.raises(ValueError, match="time column"):
-            render_series("csv", "quantum_pair", ["0", "1"], np.array([0.5]))
+            render_series("csv", "quantum_pair", TimeColumn([0.0, 1.0]), np.array([0.5]))
         with pytest.raises(ValueError, match="fmt"):
-            render_series("xml", "quantum_pair", ["0"], np.array([0.5]))
+            render_series("xml", "quantum_pair", TimeColumn([0.0]), np.array([0.5]))
 
     def test_json_values_are_rounded_floats(self):
         values = np.array([0.1 + 0.2, 1 / 3, 1e-5])
@@ -173,6 +175,94 @@ class TestOneShotFormatter:
         )
 
 
+def _past_cutoff(values):
+    """The values, repeated until there are at least _VECTOR_MIN of them, so
+    that formatting them takes the numpy path."""
+    values = np.asarray(values, dtype=float)
+    return np.tile(values, -(-serialize._VECTOR_MIN // values.size))
+
+
+def _power_neighbours():
+    """Each power of ten from 1e-6 to 1e16, values just below it that round
+    up to it at 15 digits (the 1e-04 and 1e+15 notation switches among them)
+    or stay below, and the nextafter neighbours of all of these."""
+    values = []
+    for k in range(-6, 17):
+        p = float(f"1e{k}")
+        for j in range(12):
+            values.append(p * (1.0 - j * 1e-16))
+    values = np.array(values + [9.9999999999999995e-05, 999999999999999.5, 99999999999999.95])
+    return np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)])
+
+
+def _decimal_ties():
+    """Doubles m * 2**-(k+1), m odd, whose exact decimal has 16 significant
+    digits ending in 5: exact ties at 15 digits, half of them rounding up
+    under round-half-even."""
+    values = []
+    for k in range(22):
+        low = -(-10**15 // 5 ** (k + 1)) | 1
+        values += [m * 2.0 ** -(k + 1) for m in range(low, low + 40, 2)
+                   if m * 5 ** (k + 1) < 10**16]
+    return np.array(values)
+
+
+class TestVectorisedFormatter:
+    """Inputs of at least _VECTOR_MIN numbers take the numpy path, which must
+    give the bytes of f"{x:.15g}" for every double."""
+
+    @pytest.mark.parametrize("values", [
+        _past_cutoff(EDGE_VALUES),
+        _power_neighbours(),
+        -_power_neighbours(),
+        _decimal_ties(),
+        _past_cutoff([0.0, -0.0, 5e-324, -5e-324, 1e-250, -1e-250, 1e250, -1e250,
+                      np.nextafter(1e-250, 1.0), np.nextafter(1e-250, 0.0),
+                      np.nextafter(1e250, 0.0), np.nextafter(1e250, np.inf)]),
+        _random_magnitudes(5000, 13),
+    ], ids=["edge", "powers", "negative-powers", "ties", "range-ends", "random"])
+    def test_matches_fstring(self, values):
+        assert values.size >= serialize._VECTOR_MIN
+        assert format_numbers(values) == [f"{x:.15g}" for x in values]
+        obj = json.loads(render_series("json", "approx_alpha_bar_sq", TimeColumn(values), values))
+        assert obj["values"] == _rounded(values)
+
+    def test_ties_are_ties(self):
+        # The tie case is only tested if some ties round up and some down.
+        values = _decimal_ties()
+        texts = [f"{x:.15g}" for x in values]
+        up = [float(text) > x for text, x in zip(texts, values)]
+        assert any(up) and not all(up)
+
+    @pytest.mark.parametrize("size", [serialize._VECTOR_MIN - 1, serialize._VECTOR_MIN])
+    def test_cutoff(self, monkeypatch, size):
+        calls = []
+        kernel = serialize._digits_and_exponent
+        monkeypatch.setattr(serialize, "_digits_and_exponent",
+                            lambda x: calls.append(x.size) or kernel(x))
+        values = _random_magnitudes(size, 17)
+        assert format_numbers(values) == [f"{x:.15g}" for x in values]
+        assert calls == ([size] if size >= serialize._VECTOR_MIN else [])
+
+    @pytest.mark.parametrize("with_approx", [False, True])
+    def test_negative_approximation_column(self, with_approx):
+        ts = np.linspace(0.0, 50.0, 1001)
+        approx = np.cos(ts) * np.exp(-ts) - 1e-9 * ts  # to -5e-08, with exponent texts
+        values = np.clip(np.abs(approx), 0.0, 1.0)
+        if with_approx:
+            args = ("alpha_bar_sq", TimeColumn(ts), values, approx)
+            csv = _fstring_csv("t,value,approx", ts, values, approx)
+            obj = {"quantity": "alpha_bar_sq", "times": _rounded(ts), "values": _rounded(values),
+                   "approx": _rounded(approx)}
+        else:
+            args = ("approx_alpha_bar_sq", TimeColumn(ts), approx)
+            csv = _fstring_csv("t,value", ts, approx)
+            obj = {"quantity": "approx_alpha_bar_sq", "times": _rounded(ts), "values": _rounded(approx)}
+        assert (approx < 0).any()
+        assert render_series("csv", *args) == csv
+        assert render_series("json", *args) == _reference(obj)
+
+
 class TestJsonWriter:
     """The JSON writer gives the bytes of json.dumps(indent=2) on the floats
     that the %.15g text parses back to."""
@@ -184,24 +274,24 @@ class TestJsonWriter:
         times, values = self.VALUES, self.VALUES[::-1]
         if with_approx:
             probs = np.clip(np.abs(values), 0.0, 1.0)
-            out = render_series("json", "alpha_bar_sq", format_numbers(times), probs, values)
+            out = render_series("json", "alpha_bar_sq", TimeColumn(times), probs, values)
             obj = {"quantity": "alpha_bar_sq", "times": _rounded(times),
                    "values": _rounded(probs), "approx": _rounded(values)}
         else:
-            out = render_series("json", "approx_alpha_bar_sq", format_numbers(times), values)
+            out = render_series("json", "approx_alpha_bar_sq", TimeColumn(times), values)
             obj = {"quantity": "approx_alpha_bar_sq", "times": _rounded(times),
                    "values": _rounded(values)}
         assert out == _reference(obj)
 
     def test_series_clips_probabilities_like_csv(self):
         times = np.arange(len(self.VALUES), dtype=float)
-        out = render_series("json", "quantum_pair", format_numbers(times), self.VALUES)
+        out = render_series("json", "quantum_pair", TimeColumn(times), self.VALUES)
         clipped = np.clip(self.VALUES, 0.0, 1.0)
         assert out == _reference({"quantity": "quantum_pair", "times": _rounded(times),
                                   "values": _rounded(clipped)})
 
     def test_empty_series(self):
-        out = render_series("json", "alpha_bar_sq", [], np.array([]))
+        out = render_series("json", "alpha_bar_sq", TimeColumn([]), np.array([]))
         assert out == _reference({"quantity": "alpha_bar_sq", "times": [], "values": []})
 
     @pytest.mark.parametrize("time", [None, 0.0, 2.5, 1e15, 1.2345e15, 1e16, 5e-324])
