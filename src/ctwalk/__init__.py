@@ -42,21 +42,13 @@ from .transport import (
     ProbabilityMatrix,
     TimeGrid,
     TransportSeries,
-    alpha_bar_sq,
     approx_alpha_bar_sq,
-    avg_return_classical,
-    avg_return_quantum,
     chi_bar,
     chi_bar_lb,
     class_phases,
-    classical_prob,
     from_phases,
     lta_matrix,
-    pair_kernel,
-    pair_table,
     propagator,
-    quantum_amplitude,
-    quantum_prob,
     series,
     transition_matrix,
 )

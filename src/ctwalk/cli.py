@@ -206,13 +206,13 @@ def cmd_report(config: RunConfig) -> int:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         graph_source=args.graph,
-        grid=parse_times(args.times) if getattr(args, "times", None) else DEFAULT_GRID,
+        grid=parse_times(args.times) if getattr(args, "times", None) is not None else DEFAULT_GRID,
         start_node=getattr(args, "start_node", 1),
         deg_tol=args.deg_tol,
         fmt=getattr(args, "format", "csv"),
         out_dir=Path(args.out),
         quantities=parse_quantities(args.quantities)
-        if getattr(args, "quantities", None)
+        if getattr(args, "quantities", None) is not None
         else DEFAULT_QUANTITIES,
     )
 

@@ -50,7 +50,7 @@ exponent text comes back unchanged.  JSON has no token for NaN or infinity,
 and such values are rejected before anything is written.
 
 Probability values are clipped to [0, 1] here, and only here; TransportSeries,
-ProbabilityMatrix and ``transport.pair_table`` have already rejected any
+ProbabilityMatrix and ``transport.from_phases`` have already rejected any
 excursion beyond PROB_SLACK.  The dominant-degeneracy approximation series is
 exempt (it is not a probability).
 """

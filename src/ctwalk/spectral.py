@@ -9,9 +9,11 @@ so output is byte-stable across runs on one machine and numpy build.  Within
 a degenerate class the basis is whatever LAPACK returns; every quantity
 downstream depends only on the class projectors, not on that choice.
 The eigenvalues split into degeneracy classes, contiguous runs, at every gap
-above deg_tol; a run spreading wider than deg_tol is a ValueError.  Every
-transport series and long-time average reads class values and class-summed
-weights from this one partition, so "degenerate" means one thing throughout.
+above deg_tol; a run spreading wider than deg_tol is a ValueError, and so is
+a deg_tol below ten times the eigen-residual, where noise could split a
+class.  Every transport series and long-time average reads class values and
+class-summed weights from this one partition, so "degenerate" means one
+thing throughout.
 """
 
 from __future__ import annotations
@@ -26,6 +28,16 @@ DEFAULT_DEG_TOL = 1e-8
 # Largest accepted residual, relative to max(1, ||L||_F).  LAPACK's worst
 # case on path/star/cycle/broom/random trees with n <= 300 is about 1.6e-14.
 _RESIDUAL_TOL = 1e-10
+
+# Smallest accepted deg_tol, as a multiple of the eigen-residual max|L Q - Q
+# diag(w)|.  Each computed eigenvalue lies within its residual column's
+# 2-norm of a true one, and on the graphs measured (family:e, stars up to
+# n = 2000, a 1000-node broom) that norm equals the largest entry to two
+# digits, so noise can part two members of one class by about twice the
+# residual; a deg_tol under ten times it could split a class.  Star graphs
+# have the largest residuals measured, at most 6.3e-11 (n = 3000) for
+# n <= 4096, so the default deg_tol clears the floor.
+_DEG_TOL_FLOOR = 10.0
 
 
 class ConvergenceError(RuntimeError):
@@ -79,9 +91,10 @@ def _check_deg_tol(deg_tol: float) -> None:
         raise ValueError(f"deg_tol must be finite and positive, got {deg_tol!r}")
 
 
-def _check_residuals(a: np.ndarray, w: np.ndarray, v: np.ndarray) -> None:
+def _check_residuals(a: np.ndarray, w: np.ndarray, v: np.ndarray) -> float:
     """Raise ConvergenceError unless v is orthonormal and a v = v diag(w) to
-    within _RESIDUAL_TOL * max(1, ||a||_F).  Written so that NaN fails."""
+    within _RESIDUAL_TOL * max(1, ||a||_F); return the eigen-residual.
+    Written so that NaN fails."""
     tol = _RESIDUAL_TOL * max(1.0, float(np.linalg.norm(a)))
     orth = float(np.max(np.abs(v.T @ v - np.eye(a.shape[0])), initial=0.0))
     eig = float(np.max(np.abs(a @ v - v * w), initial=0.0))
@@ -90,6 +103,7 @@ def _check_residuals(a: np.ndarray, w: np.ndarray, v: np.ndarray) -> None:
             f"eigendecomposition failed its residual check: orthogonality residual "
             f"{orth:.3e}, eigen-residual {eig:.3e}, tolerance {tol:.3e}"
         )
+    return eig
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -134,7 +148,7 @@ def eigendecompose(matrix, deg_tol: float = DEFAULT_DEG_TOL) -> Spectrum:
     and the degeneracy-class partition at tolerance ``deg_tol``.  ``deg_tol``
     also bounds the accepted input asymmetry.  A non-finite entry is a
     ValueError naming its 0-based [row, column]; so is a deg_tol that is not
-    finite and positive.
+    finite and positive, or one below _DEG_TOL_FLOOR times the eigen-residual.
 
     Raises ConvergenceError when LAPACK fails or its result fails the
     residual check (see the module docstring).
@@ -156,7 +170,12 @@ def eigendecompose(matrix, deg_tol: float = DEFAULT_DEG_TOL) -> Spectrum:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver failed: {exc}") from exc
-    _check_residuals(a, w, v)
+    floor = _DEG_TOL_FLOOR * _check_residuals(a, w, v)
+    if deg_tol < floor:
+        raise ValueError(
+            f"deg_tol {deg_tol:.3e} is below the floor {floor:.3e}, {_DEG_TOL_FLOOR:g} times "
+            f"the eigen-residual, where noise could split a degeneracy class; raise --deg-tol"
+        )
     order = np.argsort(w, kind="stable")
     w = w[order]
     v = _fix_signs(v[:, order])

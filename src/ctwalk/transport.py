@@ -12,16 +12,16 @@ taken at the class values, so pi-bar(t) >= |alpha-bar(t)|^2 and the Cesaro
 limit of a pair series is chi_{k,j} by construction.
 
 Time phases e^{-Et} and e^{-iEt} are evaluated in one place, ``_phases``.
-``class_phases`` gives the table of one kind at the class values, and
-``from_phases`` reads any of the five quantities in PHASE_KINDS from the
-table of its kind, so a caller that holds one table per kind evaluates each
-kind once however many quantities it reads.  ``pair_table``, the one source
-of pair series, builds all n series of one start node from one phase table
-and one matrix product; the scalar per-pair functions pass a single weight
-row to ``pair_kernel``.
+Series take one route: ``class_phases`` gives the (C, T) table of one kind
+at the C class values, and ``from_phases`` reads any of the five quantities
+in PHASE_KINDS from the table of its kind, all n pair series of one start
+node or one average row at a time, so a caller that holds one table per
+kind evaluates each kind once however many quantities it reads.  ``series``
+wraps one non-pair quantity on a TimeGrid as a TransportSeries.  Matrices
+take the other route: ``propagator`` applies the phases of the raw
+eigenvalues at one time t, and ``transition_matrix`` squares it.
 
-Scalar time arguments give scalars; array arguments broadcast to arrays.
-Node labels are 1-based.
+A 0-d time gives tables without the time axis.  Node labels are 1-based.
 """
 
 from __future__ import annotations
@@ -173,21 +173,11 @@ def _check_prob_bounds(values: np.ndarray, what: str) -> None:
         raise ValueError(f"{what}: values escape [0,1] beyond tolerance (min {lo}, max {hi})")
 
 
-def _node_index(s: Spectrum, label: int, name: str) -> int:
-    if not (1 <= label <= s.n):
-        raise ValueError(f"{name} must be in 1..{s.n}, got {label}")
-    return label - 1
-
-
 def _as_times(t, require_nonneg: bool):
     ts = np.asarray(t, dtype=float)
     if require_nonneg and np.any(ts < 0):
         raise ValueError("classical propagation requires t >= 0 (semigroup, not a group)")
     return ts
-
-
-def _scalar_like(t, values):
-    return float(values) if np.isscalar(t) or np.ndim(t) == 0 else values
 
 
 def _class_sum(s: Spectrum, x) -> np.ndarray:
@@ -213,45 +203,9 @@ def _phases(values: np.ndarray, ts, kind: str) -> np.ndarray:
     return np.exp(phases, out=phases)
 
 
-def pair_kernel(weights, eigenvalues, t, kind: str) -> np.ndarray:
-    """sum_n weights[..., n] e^{-E_n t} (classical) or e^{-i E_n t} (quantum)
-    for every weight row, as one product with a single phase table.
-
-    With class-summed weight rows w_k[c] = sum_{n in c} Q[k, n] Q[j, n] and
-    the class values, the rows are P_{k,j}(t) or the amplitudes alpha_{k,j}(t).
-    """
-    ts = _as_times(t, require_nonneg=kind == "classical")
-    return _weighted(weights, _phases(np.asarray(eigenvalues, dtype=float), ts, kind))
-
-
-def _weighted(weights, phases: np.ndarray) -> np.ndarray:
+def _weighted(weights: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """weights @ phases, with the weights made complex for a quantum table."""
-    weights = np.asarray(weights, dtype=float)
     return (weights.astype(complex) if np.iscomplexobj(phases) else weights) @ phases
-
-
-def _pair_weights(s: Spectrum, k, j: int) -> np.ndarray:
-    """Class-summed <k|q_n><q_n|j> for target row(s) k (0-based), start index j."""
-    return _class_sum(s, s.eigenvectors[k] * s.eigenvectors[j])
-
-
-def classical_prob(s: Spectrum, k: int, j: int, t):
-    """P_{k,j}(t) = sum_n e^{-t E_n} <k|q_n><q_n|j>, by class."""
-    ki, ji = _node_index(s, k, "k"), _node_index(s, j, "j")
-    return _scalar_like(t, pair_kernel(_pair_weights(s, ki, ji), s.class_values, t, "classical"))
-
-
-def quantum_amplitude(s: Spectrum, k: int, j: int, t):
-    """alpha_{k,j}(t) = <k|e^{-iHt}|j> = sum_n e^{-i t E_n} <k|q_n><q_n|j>, by class."""
-    ki, ji = _node_index(s, k, "k"), _node_index(s, j, "j")
-    amp = pair_kernel(_pair_weights(s, ki, ji), s.class_values, t, "quantum")
-    return complex(amp) if np.isscalar(t) or np.ndim(t) == 0 else amp
-
-
-def quantum_prob(s: Spectrum, k: int, j: int, t):
-    """pi_{k,j}(t) = |alpha_{k,j}(t)|^2."""
-    amp = quantum_amplitude(s, k, j, t)
-    return _scalar_like(t, np.abs(np.asarray(amp)) ** 2)
 
 
 def class_phases(s: Spectrum, t, kind: str) -> np.ndarray:
@@ -271,7 +225,10 @@ def from_phases(s: Spectrum, quantity: str, phases: np.ndarray, j: int) -> np.nd
     if quantity not in PHASE_KINDS:
         raise ValueError(f"from_phases needs one of {tuple(PHASE_KINDS)}, got {quantity!r}")
     if quantity in PAIR_QUANTITIES:
-        values = _weighted(_pair_weights(s, slice(None), _node_index(s, j, "j")), phases)
+        if not (1 <= j <= s.n):
+            raise ValueError(f"j must be in 1..{s.n}, got {j}")
+        # Class-summed <k|q_n><q_n|j>, one row per target k.
+        values = _weighted(_class_sum(s, s.eigenvectors * s.eigenvectors[j - 1]), phases)
     elif quantity == "quantum_avg_return":
         values = _weighted(_class_sum(s, s.eigenvectors**2), phases)
     else:
@@ -285,23 +242,11 @@ def from_phases(s: Spectrum, quantity: str, phases: np.ndarray, j: int) -> np.nd
     return values if quantity in PAIR_QUANTITIES else values[np.newaxis]
 
 
-def pair_table(s: Spectrum, quantity: str, j: int, t) -> np.ndarray:
-    """P_{k,j}(t) (classical_pair) or pi_{k,j}(t) (quantum_pair) for every
-    target node k = 1..n: row k-1 holds target k.  One phase table, one
-    matrix product and one probability-bound check for the whole table;
-    values stay unclamped."""
-    if quantity not in PAIR_QUANTITIES:
-        raise ValueError(f"pair_table needs one of {PAIR_QUANTITIES}, got {quantity!r}")
-    return from_phases(s, quantity, class_phases(s, t, PHASE_KINDS[quantity]), j)
-
-
 def propagator(s: Spectrum, t: float, kind: str) -> np.ndarray:
     """Spectral-path propagator: e^{-tL} (classical, real) or e^{-itL}
     (quantum, complex)."""
-    if kind == "classical" and t < 0:
-        raise ValueError("classical propagation requires t >= 0 (semigroup, not a group)")
     q = s.eigenvectors
-    phases = _phases(s.eigenvalues, t, kind)
+    phases = _phases(s.eigenvalues, _as_times(t, require_nonneg=kind == "classical"), kind)
     return (q * phases if kind == "classical" else q.astype(complex) * phases) @ q.T
 
 
@@ -333,26 +278,6 @@ def lta_matrix(s: Spectrum) -> ProbabilityMatrix:
     return ProbabilityMatrix(s.n, acc, quantity="lta")
 
 
-def _average(s: Spectrum, quantity: str, t):
-    return from_phases(s, quantity, class_phases(s, t, PHASE_KINDS[quantity]), 1)[0]
-
-
-def avg_return_classical(s: Spectrum, t):
-    """P-bar(t) = (1/N) sum over classes of D_c e^{-t E_c}; eigenvalues only."""
-    return _scalar_like(t, _average(s, "classical_avg_return", t))
-
-
-def avg_return_quantum(s: Spectrum, t):
-    """pi-bar(t) = (1/N) sum_j |alpha_{j,j}(t)|^2; needs the eigenvectors."""
-    return _scalar_like(t, _average(s, "quantum_avg_return", t))
-
-
-def alpha_bar_sq(s: Spectrum, t):
-    """|alpha-bar(t)|^2 = |(1/N) sum over classes of D_c e^{-i t E_c}|^2,
-    the eigenvalue-only lower bound of pi-bar(t)."""
-    return _scalar_like(t, _average(s, "alpha_bar_sq", t))
-
-
 def chi_bar(s: Spectrum) -> float:
     """Asymptotic value of pi-bar(t): the mean of the LTA-matrix diagonal,
     computed directly from the class projector diagonals."""
@@ -379,8 +304,7 @@ def approx_alpha_bar_sq(s: Spectrum, class_index: int, t):
     d_l, e_l = mult[class_index], vals[class_index]
     others = np.arange(len(s.classes)) != class_index
     cosines = np.cos(np.multiply.outer(vals[others] - e_l, ts))
-    out = (d_l**2 + 2.0 * d_l * (mult[others] @ cosines)) / s.n**2
-    return _scalar_like(t, out)
+    return (d_l**2 + 2.0 * d_l * (mult[others] @ cosines)) / s.n**2
 
 
 def series(
@@ -389,21 +313,17 @@ def series(
     """Evaluate one scalar, non-pair transport quantity over a TimeGrid.
 
     The approximation needs the degeneracy-class index.  Pair series come
-    from pair_table, which evaluates every target node at once.
+    from from_phases, which reads every target node at once.
     """
     if quantity in PAIR_QUANTITIES:
-        raise ValueError(f"{quantity} series come from pair_table, not series")
+        raise ValueError(f"{quantity} series come from from_phases, not series")
     ts = grid.times()
-    if quantity == "classical_avg_return":
-        values = avg_return_classical(s, ts)
-    elif quantity == "quantum_avg_return":
-        values = avg_return_quantum(s, ts)
-    elif quantity == "alpha_bar_sq":
-        values = alpha_bar_sq(s, ts)
-    elif quantity == "approx_alpha_bar_sq":
+    if quantity == "approx_alpha_bar_sq":
         if class_index is None:
             raise ValueError("approx_alpha_bar_sq requires a class_index")
         values = approx_alpha_bar_sq(s, class_index, ts)
+    elif quantity in PHASE_KINDS:
+        values = from_phases(s, quantity, class_phases(s, ts, PHASE_KINDS[quantity]), 1)[0]
     else:
         raise ValueError(f"unknown quantity tag {quantity!r}")
     return TransportSeries(quantity=quantity, times=ts, values=values)

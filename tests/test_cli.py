@@ -16,7 +16,7 @@ from ctwalk.graphs import (
     read_edge_list,
 )
 from ctwalk.spectral import eigendecompose
-from ctwalk.transport import QUANTITIES, classical_prob, quantum_prob
+from ctwalk.transport import PHASE_KINDS, QUANTITIES
 
 
 def run(capsys, *argv):
@@ -146,8 +146,12 @@ class TestEvolve:
         )
         assert code == 0
         s = eigendecompose(laplacian(gen_cycle(7)))
-        for quantity, per_pair in (("classical_pair", classical_prob),
-                                   ("quantum_pair", quantum_prob)):
+        ts = parse_times("0:6:0.25").times()
+        for quantity in ("classical_pair", "quantum_pair"):
+            kind = PHASE_KINDS[quantity]
+            # Row i holds column j=3 of the propagator at ts[i]; pair k reads entry k-1.
+            u = np.array([transport.propagator(s, t, kind)[:, 2] for t in ts])
+            expected = u if kind == "classical" else np.abs(u) ** 2
             for k in range(1, 8):
                 path = tmp_path / f"{quantity}_k{k}_j3.{fmt}"
                 if fmt == "csv":
@@ -158,8 +162,8 @@ class TestEvolve:
                     obj = json.loads(path.read_text())
                     assert obj["quantity"] == quantity
                     t, v = np.array(obj["times"]), np.array(obj["values"])
-                assert t.size == 25 and t[-1] == 6.0
-                assert np.max(np.abs(v - per_pair(s, k, 3, t))) <= 1e-13
+                assert np.array_equal(t, ts) and t[-1] == 6.0
+                assert np.max(np.abs(v - expected[:, k - 1])) <= 1e-13
 
     def test_pair_files_deterministic_bytes(self, tmp_path, capsys):
         args = ("evolve", "--graph", "family:c", "--times", "0:10:0.1",
@@ -203,7 +207,8 @@ class TestEvolve:
         s = eigendecompose(laplacian({"path": gen_path, "star": gen_star}[kind](int(rest))))
         ts = parse_times(times).times()
         for quantity in ("classical_pair", "quantum_pair"):
-            table = np.clip(transport.pair_table(s, quantity, 2, ts), 0.0, 1.0)
+            phases = transport.class_phases(s, ts, PHASE_KINDS[quantity])
+            table = np.clip(transport.from_phases(s, quantity, phases, 2), 0.0, 1.0)
             for k, values in enumerate(table, start=1):
                 expected = "t,value\n" + "".join(f"{t:.15g},{x:.15g}\n" for t, x in zip(ts, values))
                 assert (tmp_path / f"{quantity}_k{k}_j2.csv").read_text() == expected
@@ -218,18 +223,27 @@ class TestEvolve:
         assert not out.exists()
 
     def test_bad_quantity(self, tmp_path, capsys):
-        code, _, err = run(
-            capsys,
-            "evolve", "--graph", "family:a", "--out", str(tmp_path),
-            "--quantities", "entropy",
-        )
-        assert code == 2 and "unknown quantity" in err
+        out = tmp_path / "out"
+        for quantities, reason in (("entropy", "unknown quantity"), ("", "empty quantity list"),
+                                   (",", "empty quantity list")):
+            code, stdout, err = run(
+                capsys,
+                "evolve", "--graph", "family:a", "--out", str(out), "--quantities", quantities,
+            )
+            assert code == 2 and reason in err
+            assert stdout == ""
+            assert not out.exists()
 
     def test_bad_times(self, tmp_path, capsys):
-        code, _, err = run(
-            capsys, "evolve", "--graph", "family:a", "--times", "0:5", "--out", str(tmp_path)
-        )
-        assert code == 2 and "time grid" in err
+        out = tmp_path / "out"
+        for command in ("evolve", "report"):
+            for times in ("0:5", ""):
+                code, stdout, err = run(
+                    capsys, command, "--graph", "family:a", "--times", times, "--out", str(out)
+                )
+                assert code == 2 and "time grid" in err
+                assert stdout == ""
+                assert not out.exists()
 
     def test_bad_start_node(self, tmp_path, capsys):
         code, _, err = run(
@@ -400,6 +414,18 @@ class TestExitCodes:
             capsys, command, "--graph", "family:e", "--deg-tol", tol, "--out", str(out)
         )
         assert code == 2 and "deg_tol" in err
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen", "evolve", "lta", "report"])
+    def test_deg_tol_below_residual_floor_is_usage_error(self, tmp_path, capsys, command):
+        # Eigenvalue noise on family:e is about 2e-15; a deg_tol of 1e-20
+        # would split its 8-fold class at 1 and report D_l = 0.
+        out = tmp_path / "out"
+        code, stdout, err = run(
+            capsys, command, "--graph", "family:e", "--deg-tol", "1e-20", "--out", str(out)
+        )
+        assert code == 2 and "below the floor" in err and "eigen-residual" in err
         assert stdout == ""
         assert not out.exists()
 

@@ -13,19 +13,22 @@ from hypothesis import strategies as st
 from ctwalk.graphs import from_edge_list, laplacian
 from ctwalk.spectral import Spectrum, eigendecompose
 from ctwalk.transport import (
-    alpha_bar_sq,
-    avg_return_classical,
-    avg_return_quantum,
+    PHASE_KINDS,
     chi_bar,
     chi_bar_lb,
-    classical_prob,
+    class_phases,
+    from_phases,
     lta_matrix,
-    pair_table,
-    quantum_prob,
     transition_matrix,
 )
 
 TIMES = np.array([0.0, 0.3, 1.7, 4.0, 25.0])
+
+
+def _read(s, quantity, j=1):
+    """from_phases at TIMES: the pair table of start node j, or one average row."""
+    return from_phases(s, quantity, class_phases(s, TIMES, PHASE_KINDS[quantity]), j)
+
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -68,9 +71,8 @@ def test_degenerate_basis_remix_changes_nothing(g, seed):
     r = _remix(s, seed)
     assert np.max(np.abs(lta_matrix(r).entries - lta_matrix(s).entries)) <= 1e-9
     assert abs(chi_bar(r) - chi_bar(s)) <= 1e-9
-    for k in range(1, s.n + 1):
-        for prob in (classical_prob, quantum_prob):
-            assert np.max(np.abs(prob(r, k, 1, TIMES) - prob(s, k, 1, TIMES))) <= 1e-9
+    for quantity in ("classical_pair", "quantum_pair"):
+        assert np.max(np.abs(_read(r, quantity) - _read(s, quantity))) <= 1e-9
 
 
 @PROPERTY_SETTINGS
@@ -95,13 +97,13 @@ def test_transition_columns_sum_to_one(g):
 @PROPERTY_SETTINGS
 @given(graphs)
 def test_return_series_read_one_partition(g):
-    # Pair series and the average-return functions sum the same class
-    # weights, so the mean return of the pair tables is the average return.
+    # Pair series and the average returns sum the same class weights, so the
+    # mean return of the pair tables is the average return.
     s = eigendecompose(laplacian(g))
     for quantity, average in (
-        ("classical_pair", avg_return_classical),
-        ("quantum_pair", avg_return_quantum),
+        ("classical_pair", "classical_avg_return"),
+        ("quantum_pair", "quantum_avg_return"),
     ):
-        returns = [pair_table(s, quantity, j, TIMES)[j - 1] for j in range(1, s.n + 1)]
-        assert np.max(np.abs(np.mean(returns, axis=0) - average(s, TIMES))) <= 1e-13
-    assert np.all(avg_return_quantum(s, TIMES) >= alpha_bar_sq(s, TIMES) - 1e-15)
+        returns = [_read(s, quantity, j)[j - 1] for j in range(1, s.n + 1)]
+        assert np.max(np.abs(np.mean(returns, axis=0) - _read(s, average)[0])) <= 1e-13
+    assert np.all(_read(s, "quantum_avg_return")[0] >= _read(s, "alpha_bar_sq")[0] - 1e-15)

@@ -18,7 +18,7 @@ from ctwalk.serialize import (
     report_to_text,
     render_series,
 )
-from ctwalk.transport import ProbabilityMatrix, TransportSeries, pair_table
+from ctwalk.transport import PHASE_KINDS, ProbabilityMatrix, TransportSeries, class_phases, from_phases
 
 
 def _report(equipartition_time=30.61):
@@ -68,7 +68,7 @@ class TestNumbers:
         s = eigendecompose(laplacian(gen_path(3)))
         for quantity in ("classical_pair", "quantum_pair"):
             with pytest.raises(ValueError, match="non-finite"):
-                pair_table(s, quantity, 1, [0.0, np.nan])
+                from_phases(s, quantity, class_phases(s, [0.0, np.nan], PHASE_KINDS[quantity]), 1)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

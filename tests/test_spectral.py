@@ -134,6 +134,17 @@ class TestEigendecompose:
         with pytest.raises(ConvergenceError, match="did not converge"):
             eigendecompose(laplacian(gen_path(5)))
 
+    def test_deg_tol_floor_is_ten_eigen_residuals(self, monkeypatch):
+        # One eigenvalue of the identity shifted by 1e-12 leaves an
+        # eigen-residual of exactly 1e-12, so the floor is 1e-11.
+        def shifted(a):
+            return np.array([1.0, 1.0, 1.0 + 1e-12]), np.eye(3)
+
+        monkeypatch.setattr(np.linalg, "eigh", shifted)
+        with pytest.raises(ValueError, match=r"deg_tol 9\.000e-12 is below the floor 1\.000e-11"):
+            eigendecompose(np.eye(3), deg_tol=9e-12)
+        assert [c.multiplicity for c in eigendecompose(np.eye(3), deg_tol=2e-11).classes] == [3]
+
     def test_deterministic_signs(self):
         m = laplacian(gen_star(10))
         a = eigendecompose(m)

@@ -13,21 +13,13 @@ from ctwalk.transport import (
     ProbabilityMatrix,
     TimeGrid,
     TransportSeries,
-    alpha_bar_sq,
     approx_alpha_bar_sq,
-    avg_return_classical,
-    avg_return_quantum,
     chi_bar,
     chi_bar_lb,
     class_phases,
-    classical_prob,
     from_phases,
     lta_matrix,
-    pair_kernel,
-    pair_table,
     propagator,
-    quantum_amplitude,
-    quantum_prob,
     series,
     transition_matrix,
 )
@@ -37,6 +29,12 @@ from oracles import expm_oracle
 # Classical propagator entry e^{-L}[0, 4] for the ten-node path, frozen from
 # an independent scipy.linalg.expm evaluation.
 P10_CLASSICAL_1_5_AT_1 = 0.008195126480625892
+
+
+def _read(s, quantity, t, j=1):
+    """from_phases on the class phase table of the quantity's kind at t: row
+    k-1 of start node j for a pair quantity, row 0 for an average."""
+    return from_phases(s, quantity, class_phases(s, t, PHASE_KINDS[quantity]), j)
 
 
 class TestTimeGrid:
@@ -83,64 +81,65 @@ class TestTimeGrid:
 class TestPairwise:
     def test_k2_classical_closed_form(self, k2_spectrum):
         for t in (0.0, 0.3, 1.0, 5.0):
-            assert classical_prob(k2_spectrum, 1, 1, t) == pytest.approx(
+            assert _read(k2_spectrum, "classical_pair", t)[0] == pytest.approx(
                 0.5 * (1 + np.exp(-2 * t)), abs=1e-12
             )
 
     def test_k2_classical_equipartition(self, k2_spectrum):
-        assert classical_prob(k2_spectrum, 1, 1, 50.0) == pytest.approx(0.5, abs=1e-12)
+        assert _read(k2_spectrum, "classical_pair", 50.0)[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_classical_rejects_negative_time(self, k2_spectrum):
         with pytest.raises(ValueError, match="t >= 0"):
-            classical_prob(k2_spectrum, 1, 1, -0.1)
+            class_phases(k2_spectrum, -0.1, "classical")
 
     def test_classical_matches_series_expansion_oracle(self):
         s = eigendecompose(laplacian(gen_path(10)))
-        value = classical_prob(s, 1, 5, 1.0)
+        value = _read(s, "classical_pair", 1.0, j=5)[0]
         oracle = expm_oracle(laplacian(gen_path(10)), 1.0, "classical")[0, 4]
         assert value == pytest.approx(oracle, abs=1e-10)
         assert value == pytest.approx(P10_CLASSICAL_1_5_AT_1, abs=1e-10)
 
     def test_k2_quantum_amplitude(self, k2_spectrum):
         for t in (0.0, 0.4, 1.7):
-            amp = quantum_amplitude(k2_spectrum, 1, 1, t)
+            amp = propagator(k2_spectrum, t, "quantum")[0, 0]
             assert amp == pytest.approx(0.5 * (1 + np.exp(-2j * t)), abs=1e-12)
 
     def test_amplitude_identity_at_zero(self, family_spectra):
         for s in family_spectra.values():
-            assert quantum_amplitude(s, 3, 3, 0.0) == pytest.approx(1 + 0j, abs=1e-12)
+            assert propagator(s, 0.0, "quantum")[2, 2] == pytest.approx(1 + 0j, abs=1e-12)
 
     def test_time_reversal_conjugation(self, family_spectra):
         s = family_spectra["b"]
         rng = np.random.default_rng(2)
         for t in rng.uniform(0, 20, size=10):
-            assert quantum_amplitude(s, 2, 7, -t) == pytest.approx(
-                np.conj(quantum_amplitude(s, 2, 7, t)), abs=1e-12
+            assert propagator(s, -t, "quantum")[1, 6] == pytest.approx(
+                np.conj(propagator(s, t, "quantum")[1, 6]), abs=1e-12
             )
 
     def test_k2_quantum_prob_cosine(self, k2_spectrum):
-        assert quantum_prob(k2_spectrum, 1, 1, np.pi / 2) == pytest.approx(0.0, abs=1e-12)
-        assert quantum_prob(k2_spectrum, 2, 1, np.pi / 2) == pytest.approx(1.0, abs=1e-12)
+        at_half_pi = _read(k2_spectrum, "quantum_pair", np.pi / 2)
+        assert at_half_pi[0] == pytest.approx(0.0, abs=1e-12)
+        assert at_half_pi[1] == pytest.approx(1.0, abs=1e-12)
         ts = np.linspace(0, 3, 7)
-        assert np.allclose(quantum_prob(k2_spectrum, 1, 1, ts), np.cos(ts) ** 2, atol=1e-12)
+        assert np.allclose(_read(k2_spectrum, "quantum_pair", ts)[0], np.cos(ts) ** 2, atol=1e-12)
 
     def test_unitarity_per_start_node(self, family_spectra):
         s = family_spectra["c"]
         for t in (0.1, 1.0, 10.0):
-            total = sum(quantum_prob(s, k, 4, t) for k in range(1, s.n + 1))
-            assert total == pytest.approx(1.0, abs=1e-9)
+            assert _read(s, "quantum_pair", t, j=4).sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_pair_symmetry(self, family_spectra):
         s = family_spectra["d"]
         for k, j in ((1, 2), (3, 9), (5, 10)):
             for t in (0.5, 2.0, 17.3):
-                assert abs(quantum_prob(s, k, j, t) - quantum_prob(s, j, k, t)) <= 1e-10
+                forward = _read(s, "quantum_pair", t, j=j)[k - 1]
+                assert abs(forward - _read(s, "quantum_pair", t, j=k)[j - 1]) <= 1e-10
 
     def test_label_validation(self, k2_spectrum):
-        with pytest.raises(ValueError, match="k must be"):
-            classical_prob(k2_spectrum, 0, 1, 1.0)
-        with pytest.raises(ValueError, match="j must be"):
-            quantum_prob(k2_spectrum, 1, 3, 1.0)
+        phases = class_phases(k2_spectrum, 1.0, "classical")
+        for j in (0, 3):
+            with pytest.raises(ValueError, match="j must be"):
+                from_phases(k2_spectrum, "classical_pair", phases, j)
 
 
 PAIR_GRAPHS = {
@@ -153,20 +152,20 @@ SAMPLE_TIMES = np.array([0.0, 0.25, 1.0, 3.7, 12.0])
 
 
 def _check_pair_table(g, j):
-    """The all-targets table against the per-pair functions (1e-13), the
-    expm oracle at SAMPLE_TIMES (1e-10), and conservation over targets."""
+    """The all-targets table against propagator columns, which sum over raw
+    eigenvalues rather than classes (1e-13), the expm oracle at SAMPLE_TIMES
+    (1e-10), and conservation over targets."""
     s = eigendecompose(laplacian(g))
     ts = np.linspace(0.0, 20.0, 201)
-    for quantity, per_pair, kind in (
-        ("classical_pair", classical_prob, "classical"),
-        ("quantum_pair", quantum_prob, "quantum"),
-    ):
-        table = pair_table(s, quantity, j, ts)
+    for quantity, kind in (("classical_pair", "classical"), ("quantum_pair", "quantum")):
+        table = _read(s, quantity, ts, j)
         assert table.shape == (g.n, ts.size)
-        for k in range(1, g.n + 1):
-            assert np.max(np.abs(table[k - 1] - per_pair(s, k, j, ts))) <= 1e-13
+        for col, t in enumerate(ts):
+            u = propagator(s, t, kind)[:, j - 1]
+            column = u if kind == "classical" else np.abs(u) ** 2
+            assert np.max(np.abs(table[:, col] - column)) <= 1e-13
         assert np.max(np.abs(table.sum(axis=0) - 1.0)) <= 1e-12
-        sampled = pair_table(s, quantity, j, SAMPLE_TIMES)
+        sampled = _read(s, quantity, SAMPLE_TIMES, j)
         for col, t in enumerate(SAMPLE_TIMES):
             u = expm_oracle(laplacian(g), t, kind)[:, j - 1]
             oracle = u.real if kind == "classical" else np.abs(u) ** 2
@@ -187,46 +186,34 @@ class TestPairTable:
         g = from_edge_list(n, [(data.draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)])
         _check_pair_table(g, data.draw(st.integers(1, n)))
 
-    def test_single_row_kernel_is_the_per_pair_function(self, family_spectra):
-        # Class weights summed member by member and class values: the per-pair
-        # functions read the class partition, not raw eigenvalues.
-        s = family_spectra["c"]
-        ts = np.linspace(0, 5, 11)
-        row = s.eigenvectors[2] * s.eigenvectors[6]
-        w = np.array([sum(row[list(c.members)].tolist()) for c in s.classes])
-        values = np.array([c.value for c in s.classes])
-        assert any(c.multiplicity > 1 for c in s.classes)
-        assert np.array_equal(pair_kernel(w, values, ts, "classical"),
-                              classical_prob(s, 3, 7, ts))
-        assert np.array_equal(pair_kernel(w, values, ts, "quantum"),
-                              quantum_amplitude(s, 3, 7, ts))
-
     def test_validation(self, k2_spectrum):
-        with pytest.raises(ValueError, match="pair_table needs"):
-            pair_table(k2_spectrum, "alpha_bar_sq", 1, [0.0])
         with pytest.raises(ValueError, match="j must be"):
-            pair_table(k2_spectrum, "quantum_pair", 3, [0.0])
+            _read(k2_spectrum, "quantum_pair", [0.0], 3)
         with pytest.raises(ValueError, match="t >= 0"):
-            pair_table(k2_spectrum, "classical_pair", 1, [-1.0])
+            _read(k2_spectrum, "classical_pair", [-1.0])
         with pytest.raises(ValueError, match="kind must be"):
-            pair_kernel([[1.0, 0.0]], k2_spectrum.eigenvalues, [0.0], "thermal")
+            class_phases(k2_spectrum, [0.0], "thermal")
 
 
 class TestSharedPhases:
     def test_one_table_per_kind_reads_every_quantity(self, family_spectra):
-        s, ts = family_spectra["d"], np.linspace(0.0, 20.0, 401)
+        # Every quantity read from the one table of its kind, against the
+        # propagator at each time: its columns for pairs, its diagonal and
+        # trace for the averages.
+        s, ts = family_spectra["d"], np.linspace(0.0, 20.0, 41)
         tables = {kind: class_phases(s, ts, kind) for kind in ("classical", "quantum")}
-        singles = {
-            "classical_avg_return": avg_return_classical,
-            "quantum_avg_return": avg_return_quantum,
-            "alpha_bar_sq": alpha_bar_sq,
-        }
-        for quantity, kind in PHASE_KINDS.items():
-            shared = from_phases(s, quantity, tables[kind], 4)
-            if quantity in singles:
-                assert np.array_equal(shared, [singles[quantity](s, ts)])
-            else:
-                assert np.array_equal(shared, pair_table(s, quantity, 4, ts))
+        shared = {q: from_phases(s, q, tables[kind], 4) for q, kind in PHASE_KINDS.items()}
+        for col, t in enumerate(ts):
+            p, u = propagator(s, t, "classical"), propagator(s, t, "quantum")
+            expected = {
+                "classical_pair": p[:, 3],
+                "quantum_pair": np.abs(u[:, 3]) ** 2,
+                "classical_avg_return": np.trace(p) / s.n,
+                "quantum_avg_return": np.mean(np.abs(np.diag(u)) ** 2),
+                "alpha_bar_sq": np.abs(np.trace(u) / s.n) ** 2,
+            }
+            for quantity, table in shared.items():
+                assert np.max(np.abs(table[:, col] - expected[quantity])) <= 1e-13
 
     def test_validation(self, k2_spectrum):
         phases = class_phases(k2_spectrum, [0.0, 1.0], "quantum")
@@ -283,7 +270,7 @@ class TestLongTimeAverage:
         # closed-form class-sum value.
         ts = TimeGrid(0.0, 1e3, 0.01).times()
         for s, k, j in ((k2_spectrum, 1, 1), (family_spectra["e"], 1, 2)):
-            ser = TransportSeries("quantum_pair", ts, pair_table(s, "quantum_pair", j, ts)[k - 1])
+            ser = TransportSeries("quantum_pair", ts, _read(s, "quantum_pair", ts, j)[k - 1])
             tail = running_time_average(ser).values[-1]
             assert tail == pytest.approx(lta_matrix(s).entries[k - 1, j - 1], abs=5e-3)
 
@@ -308,36 +295,36 @@ class TestLongTimeAverage:
 class TestAveragedReturn:
     def test_unit_at_zero(self, family_spectra):
         for s in family_spectra.values():
-            assert avg_return_classical(s, 0.0) == pytest.approx(1.0, abs=1e-12)
-            assert avg_return_quantum(s, 0.0) == pytest.approx(1.0, abs=1e-12)
-            assert alpha_bar_sq(s, 0.0) == pytest.approx(1.0, abs=1e-12)
+            for quantity in ("classical_avg_return", "quantum_avg_return", "alpha_bar_sq"):
+                assert _read(s, quantity, 0.0)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_star_hand_value(self, family_spectra):
         expected = (1 + 8 * np.exp(-1.0) + np.exp(-10.0)) / 10.0
-        assert avg_return_classical(family_spectra["e"], 1.0) == pytest.approx(expected, abs=1e-12)
+        value = _read(family_spectra["e"], "classical_avg_return", 1.0)[0]
+        assert value == pytest.approx(expected, abs=1e-12)
 
     def test_classical_strictly_decreasing(self, family_spectra):
         # strict while the decay is resolvable in doubles, non-increasing after
         for s in family_spectra.values():
-            early = avg_return_classical(s, TimeGrid(0.0, 20.0, 0.1).times())
+            early = _read(s, "classical_avg_return", TimeGrid(0.0, 20.0, 0.1).times())[0]
             assert np.all(np.diff(early) < 0)
-            late = avg_return_classical(s, TimeGrid(20.0, 100.0, 0.5).times())
+            late = _read(s, "classical_avg_return", TimeGrid(20.0, 100.0, 0.5).times())[0]
             assert np.all(np.diff(late) <= 1e-15)  # ulp jitter at the 1/N floor
 
     def test_classical_rejects_negative_time(self, k2_spectrum):
         with pytest.raises(ValueError):
-            avg_return_classical(k2_spectrum, -1.0)
+            _read(k2_spectrum, "classical_avg_return", -1.0)
 
     def test_k2_quantum_cosine(self, k2_spectrum):
         ts = np.linspace(0, 5, 11)
-        assert np.allclose(avg_return_quantum(k2_spectrum, ts), np.cos(ts) ** 2, atol=1e-12)
-        assert np.allclose(alpha_bar_sq(k2_spectrum, ts), np.cos(ts) ** 2, atol=1e-12)
+        for quantity in ("quantum_avg_return", "alpha_bar_sq"):
+            assert np.allclose(_read(k2_spectrum, quantity, ts)[0], np.cos(ts) ** 2, atol=1e-12)
 
     def test_lower_bound_ordering(self, family_spectra):
         rng = np.random.default_rng(9)
         ts = rng.uniform(0, 100, size=500)
         for s in family_spectra.values():
-            gap = avg_return_quantum(s, ts) - alpha_bar_sq(s, ts)
+            gap = _read(s, "quantum_avg_return", ts)[0] - _read(s, "alpha_bar_sq", ts)[0]
             assert float(gap.min()) >= -1e-10
 
 
@@ -376,7 +363,8 @@ class TestApproximation:
     def test_star_tracks_exact_curve(self, family_spectra):
         s = family_spectra["e"]
         ts = TimeGrid(0.0, 50.0, 0.01).times()
-        deviation = np.abs(approx_alpha_bar_sq(s, nearest_class(s), ts) - alpha_bar_sq(s, ts))
+        exact = _read(s, "alpha_bar_sq", ts)[0]
+        deviation = np.abs(approx_alpha_bar_sq(s, nearest_class(s), ts) - exact)
         assert float(deviation.max()) <= 0.05
 
     def test_weakly_symmetric_network_deviates_more(self, family_spectra):
@@ -384,9 +372,8 @@ class TestApproximation:
         devs = {}
         for label in ("b", "e"):
             s = family_spectra[label]
-            devs[label] = float(
-                np.abs(approx_alpha_bar_sq(s, nearest_class(s), ts) - alpha_bar_sq(s, ts)).max()
-            )
+            exact = _read(s, "alpha_bar_sq", ts)[0]
+            devs[label] = float(np.abs(approx_alpha_bar_sq(s, nearest_class(s), ts) - exact).max())
         assert devs["b"] > devs["e"]
 
     def test_invalid_class_index(self, k2_spectrum):
@@ -397,7 +384,7 @@ class TestApproximation:
 class TestSeries:
     def test_k2_quantum_pair_on_half_pi_grid(self, k2_spectrum):
         ts = TimeGrid(0.0, np.pi, np.pi / 2).times()
-        values = pair_table(k2_spectrum, "quantum_pair", 1, ts)[0]
+        values = _read(k2_spectrum, "quantum_pair", ts)[0]
         assert len(values) == 3
         assert values[0] == pytest.approx(1.0, abs=1e-12)
         assert values[1] == pytest.approx(0.0, abs=1e-12)
@@ -411,7 +398,7 @@ class TestSeries:
     def test_missing_parameters(self, k2_spectrum):
         grid = TimeGrid(0.0, 1.0, 0.5)
         for quantity in ("classical_pair", "quantum_pair"):
-            with pytest.raises(ValueError, match="pair_table"):
+            with pytest.raises(ValueError, match="from_phases"):
                 series(k2_spectrum, grid, quantity)
         with pytest.raises(ValueError, match="class_index"):
             series(k2_spectrum, grid, "approx_alpha_bar_sq")
