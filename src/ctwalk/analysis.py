@@ -54,23 +54,33 @@ class EfficiencyReport:
 def decay_slope(series: TransportSeries, window: tuple[float, float]) -> float:
     """Least-squares slope of log(value) vs log(t) over the at least
     MIN_SLOPE_SAMPLES samples in [t_lo, t_hi].  Exact on pure power laws."""
+    mask = _window_mask(series.times, window)
+    return _loglog_slope(series.times[mask], series.values[mask])
+
+
+def _window_mask(times: np.ndarray, window: tuple[float, float]) -> np.ndarray:
+    """The grid points in [t_lo, t_hi], after checking that the window lies
+    within the grid and holds at least MIN_SLOPE_SAMPLES of them."""
     t_lo, t_hi = window
     span = f"{t_lo:g}..{t_hi:g}"
     if t_lo <= 0:
         raise ValueError("window must start at t > 0 for a log-log fit")
     if t_lo >= t_hi:
         raise ValueError("window must satisfy t_lo < t_hi")
-    if t_lo < series.times[0] or t_hi > series.times[-1]:
-        grid_span = f"{series.times[0]:g}..{series.times[-1]:g}"
+    if t_lo < times[0] or t_hi > times[-1]:
+        grid_span = f"{times[0]:g}..{times[-1]:g}"
         raise ValueError(f"window must lie within the series time range {grid_span}, got window {span}")
-    mask = (series.times >= t_lo) & (series.times <= t_hi)
+    mask = (times >= t_lo) & (times <= t_hi)
     count = int(np.sum(mask))
     if count < MIN_SLOPE_SAMPLES:
         raise ValueError(f"need at least {MIN_SLOPE_SAMPLES} samples in the window {span}, got {count}")
-    values = series.values[mask]
+    return mask
+
+
+def _loglog_slope(times: np.ndarray, values: np.ndarray) -> float:
     if np.any(values <= 0):
         raise ValueError("all values in the window must be positive for a log-log fit")
-    return float(np.polyfit(np.log(series.times[mask]), np.log(values), 1)[0])
+    return float(np.polyfit(np.log(times), np.log(values), 1)[0])
 
 
 def running_time_average(series: TransportSeries) -> TransportSeries:
@@ -128,16 +138,24 @@ def efficiency_report(
     the quantum slope on the lower-bound curve |alpha-bar(t)|^2 (log-log fit
     straight through the oscillation; the sparse interference minima carry
     little weight, so the fit reads the decay trend the way the power-law
-    guide lines do).  Requires a connected graph.
+    guide lines do).  Only the fit reads the lower bound, so it is evaluated
+    at the grid points inside SLOPE_WINDOW alone; P-bar(t) is evaluated on
+    the whole grid, which the equipartition time reads.  Requires a connected
+    graph, and a grid whose classical table fits transport.MAX_TABLE_ENTRIES.
     """
     if not is_connected(g):
         raise ValueError("efficiency report requires a connected graph")
     s = eigendecompose(laplacian(g), deg_tol=deg_tol)
 
+    ts = grid.times()
+    window = _window_mask(ts, SLOPE_WINDOW)
+    window_ts = ts[window]
     classical = transport.series(s, grid, "classical_avg_return")
-    lower_bound = transport.series(s, grid, "alpha_bar_sq")
-    classical_slope = decay_slope(classical, SLOPE_WINDOW)
-    quantum_slope = decay_slope(lower_bound, SLOPE_WINDOW)
+    classical_slope = _loglog_slope(window_ts, classical.values[window])
+    lower_bound = transport.from_phases(
+        s, "alpha_bar_sq", transport.class_phases(s, window_ts, "quantum"), 1
+    )[0]
+    quantum_slope = _loglog_slope(window_ts, lower_bound)
     lb = transport.chi_bar_lb(s)
 
     return EfficiencyReport(

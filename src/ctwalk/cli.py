@@ -125,12 +125,15 @@ def cmd_evolve(config: RunConfig) -> int:
     approximation are selected they share one file with an extra column, the
     class for the approximation being the one nearest eigenvalue 1.  Each
     phase kind is evaluated once and read by every quantity of that kind, and
-    the time column is formatted once and shared by every file.
+    the time column is formatted once and shared by every file.  A run whose
+    largest table would exceed transport.MAX_TABLE_ENTRIES writes nothing.
     """
     g = resolve_graph(config.graph_source)
     if not (1 <= config.start_node <= g.n):
         raise ValueError(f"start node must be in 1..{g.n}, got {config.start_node}")
     s = eigendecompose(graphs.laplacian(g), deg_tol=config.deg_tol)
+    pairs = any(q in PAIR_QUANTITIES for q in config.quantities)
+    transport.check_table_size(s.n if pairs else len(s.classes), config.grid)
     _prepare_out_dir(config.out_dir)
 
     ts = config.grid.times()

@@ -119,8 +119,9 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 def cluster_degeneracies(eigenvalues, deg_tol: float = DEFAULT_DEG_TOL):
     """Split an ascending eigenvalue array into classes wherever the gap to
     the previous eigenvalue exceeds deg_tol; class value is the mean of its
-    members.  A chain of small gaps spreading wider than deg_tol from first
-    to last member is a ValueError."""
+    members, which for a one-member class is its eigenvalue.  A chain of
+    small gaps spreading wider than deg_tol from first to last member is a
+    ValueError."""
     w = np.asarray(eigenvalues, dtype=float)
     _check_deg_tol(deg_tol)
     if w.size == 0:
@@ -129,7 +130,10 @@ def cluster_degeneracies(eigenvalues, deg_tol: float = DEFAULT_DEG_TOL):
         raise ValueError("eigenvalues must be sorted ascending")
     bounds = np.concatenate(([0], np.flatnonzero(np.diff(w) > deg_tol) + 1, [w.size]))
     b = bounds.tolist()
-    classes = [DegeneracyClass(float(np.mean(w[i:j])), tuple(range(i, j))) for i, j in zip(b, b[1:])]
+    classes = [
+        DegeneracyClass(float(w[i]) if j - i == 1 else float(np.mean(w[i:j])), tuple(range(i, j)))
+        for i, j in zip(b, b[1:])
+    ]
     spreads = w[bounds[1:] - 1] - w[bounds[:-1]]
     if np.any(spreads > deg_tol):
         c = int(np.argmax(spreads))

@@ -68,6 +68,12 @@ _GRID_SNAP = 1e-9
 # is rejected before any array is allocated.
 MAX_GRID_POINTS = 10**6
 
+# Largest accepted (rows, T) table: n rows when a pair quantity is read, one
+# per degeneracy class otherwise.  It admits MAX_NODES = 4096 nodes on the
+# default 5001-point grid (2.05e7 entries; a quantum table is 16 B an entry),
+# and a run over it is rejected before any table is allocated.
+MAX_TABLE_ENTRIES = 25 * 10**6
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -307,16 +313,28 @@ def approx_alpha_bar_sq(s: Spectrum, class_index: int, t):
     return (d_l**2 + 2.0 * d_l * (mult[others] @ cosines)) / s.n**2
 
 
+def check_table_size(rows: int, grid: TimeGrid) -> None:
+    """Reject a table of rows x grid.size entries over MAX_TABLE_ENTRIES."""
+    entries = rows * grid.size
+    if entries > MAX_TABLE_ENTRIES:
+        raise ValueError(
+            f"a {rows} x {grid.size} table has {entries} entries, more than the limit of "
+            f"{MAX_TABLE_ENTRIES}; use a shorter or coarser time grid"
+        )
+
+
 def series(
     s: Spectrum, grid: TimeGrid, quantity: str, class_index: int | None = None
 ) -> TransportSeries:
     """Evaluate one scalar, non-pair transport quantity over a TimeGrid.
 
     The approximation needs the degeneracy-class index.  Pair series come
-    from from_phases, which reads every target node at once.
+    from from_phases, which reads every target node at once.  A class table
+    over MAX_TABLE_ENTRIES is rejected before it is allocated.
     """
     if quantity in PAIR_QUANTITIES:
         raise ValueError(f"{quantity} series come from from_phases, not series")
+    check_table_size(len(s.classes), grid)
     ts = grid.times()
     if quantity == "approx_alpha_bar_sq":
         if class_index is None:

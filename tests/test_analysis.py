@@ -1,14 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from ctwalk import analysis, transport
 from ctwalk.analysis import (
+    EQUIPARTITION_BAND,
+    SLOPE_WINDOW,
+    VERDICT_MARGIN,
     decay_slope,
     efficiency_report,
     equipartition_time,
     running_time_average,
     verdict,
 )
-from ctwalk.graphs import from_edge_list, gen_family
+from ctwalk.graphs import from_edge_list, gen_family, gen_path, laplacian
+from ctwalk.spectral import eigendecompose, symmetry_degree
 from ctwalk.transport import TimeGrid, TransportSeries, series
 
 
@@ -158,3 +165,53 @@ class TestEfficiencyReport:
         g = from_edge_list(4, [(1, 2), (3, 4)])
         with pytest.raises(ValueError, match="connected"):
             efficiency_report(g)
+
+    @pytest.mark.parametrize("grid", [
+        TimeGrid(0.0, 50.0, 0.03), TimeGrid(0.0, 20.0, 0.07), TimeGrid(0.5, 5.0, 0.01),
+    ], ids=str)
+    @pytest.mark.parametrize("graph", [*"abcde", "path:48"])
+    def test_window_only_lower_bound_matches_full_grid_fit(self, graph, grid):
+        # 0:50:0.03 and 0:20:0.07 have no point at 0.5 or at 5 (their windows
+        # run 0.51..4.98 and 0.56..4.97); 0.5:5:0.01 is the window itself.
+        g = gen_path(48) if graph == "path:48" else gen_family(graph)
+        s = eigendecompose(laplacian(g))
+        classical = series(s, grid, "classical_avg_return")
+        classical_slope = decay_slope(classical, SLOPE_WINDOW)
+        quantum_slope = decay_slope(series(s, grid, "alpha_bar_sq"), SLOPE_WINDOW)
+        lb = transport.chi_bar_lb(s)
+        report = efficiency_report(g, grid, label=graph)
+        assert report.quantum_slope == pytest.approx(quantum_slope, rel=1e-12, abs=0)
+        assert dataclasses.replace(report, quantum_slope=quantum_slope) == analysis.EfficiencyReport(
+            label=graph,
+            n=g.n,
+            q=g.q,
+            symmetry_degree=symmetry_degree(s),
+            chi_bar=transport.chi_bar(s),
+            chi_bar_lb=lb,
+            classical_slope=classical_slope,
+            quantum_slope=quantum_slope,
+            classical_asymptote=1.0 / g.n,
+            equipartition_time=equipartition_time(classical, 1.0 / g.n, EQUIPARTITION_BAND),
+            verdict=verdict(lb, g.n, VERDICT_MARGIN, classical_slope, quantum_slope),
+        )
+
+    def test_lower_bound_read_at_window_points_only(self, monkeypatch):
+        tables = []
+        phases = transport._phases
+
+        def spy(values, ts, kind):
+            table = phases(values, ts, kind)
+            tables.append((kind, table.shape))
+            return table
+
+        monkeypatch.setattr(transport, "_phases", spy)
+        efficiency_report(gen_family("a"))
+        # The default grid 0:50:0.01 has 5001 points, 451 of them in 0.5..5.
+        assert tables == [("classical", (10, 5001)), ("quantum", (10, 451))]
+
+    def test_rejects_oversized_class_table(self, monkeypatch):
+        monkeypatch.setattr(transport, "MAX_TABLE_ENTRIES", 10 * 5001 - 1)
+        with pytest.raises(ValueError, match="10 x 5001 table has 50010 entries"):
+            efficiency_report(gen_family("a"))
+        monkeypatch.setattr(transport, "MAX_TABLE_ENTRIES", 10 * 5001)
+        assert efficiency_report(gen_family("a")).n == 10

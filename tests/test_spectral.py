@@ -200,6 +200,31 @@ class TestClustering:
     def test_class_multiplicity(self):
         assert DegeneracyClass(1.0, (3, 4, 5)).multiplicity == 3
 
+    @staticmethod
+    def _assert_class_means(w, classes):
+        for c in classes:
+            mean = float(np.mean(w[c.members[0]:c.members[-1] + 1]))
+            assert c.value.hex() == mean.hex()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_class_value_is_member_mean_bit_for_bit(self, seed):
+        # Singletons mixed with classes of 2..20 members; from 8 members on
+        # np.mean sums pairwise, so the value must come from np.mean itself.
+        rng = np.random.default_rng(seed)
+        sizes = rng.choice([1, 1, 1, *range(2, 21)], size=40)
+        centers = np.cumsum(rng.uniform(0.5, 3.0, size=sizes.size))
+        w = np.concatenate(
+            [c + np.sort(rng.uniform(0.0, 5e-9, size=k)) for c, k in zip(centers, sizes)]
+        )
+        classes = cluster_degeneracies(w, 1e-8)
+        assert [c.multiplicity for c in classes] == sizes.tolist()
+        self._assert_class_means(w, classes)
+
+    @pytest.mark.parametrize("graph", [gen_star(300), gen_path(300)])
+    def test_n300_class_values_are_member_means(self, graph):
+        s = eigendecompose(laplacian(graph))
+        self._assert_class_means(s.eigenvalues, s.classes)
+
 
 class TestSymmetryDegree:
     def test_family_ladder(self, family_spectra):

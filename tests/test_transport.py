@@ -5,16 +5,19 @@ from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
 
 from ctwalk.analysis import running_time_average
-from ctwalk.graphs import from_edge_list, gen_broom, gen_cycle, gen_path, gen_star, laplacian
+from ctwalk.graphs import MAX_NODES, from_edge_list, gen_broom, gen_cycle, gen_path, gen_star, laplacian
 from ctwalk.spectral import eigendecompose, nearest_class
 from ctwalk.transport import (
+    DEFAULT_GRID,
     MAX_GRID_POINTS,
+    MAX_TABLE_ENTRIES,
     PHASE_KINDS,
     ProbabilityMatrix,
     TimeGrid,
     TransportSeries,
     approx_alpha_bar_sq,
     chi_bar,
+    check_table_size,
     chi_bar_lb,
     class_phases,
     from_phases,
@@ -69,6 +72,14 @@ class TestTimeGrid:
             TimeGrid(0, MAX_GRID_POINTS, 1)
         with pytest.raises(ValueError, match="limit"):
             TimeGrid(0, 1e15, 0.01)
+
+    def test_table_limit(self):
+        # Checked on sizes alone: the largest graph on the default grid fits,
+        # a 300-node pair table on a 999,901-point grid (4.8 GB complex) does not.
+        check_table_size(MAX_NODES, DEFAULT_GRID)
+        long_grid = TimeGrid(0, 9999, 0.01)
+        with pytest.raises(ValueError, match=f"300 x 999901 table .* limit of {MAX_TABLE_ENTRIES}"):
+            check_table_size(300, long_grid)
 
     @pytest.mark.parametrize(
         "args", [(0, np.inf, 1), (0, np.nan, 1), (np.nan, 1, 0.1), (0, 1, np.inf)]
