@@ -132,8 +132,7 @@ def cmd_evolve(config: RunConfig) -> int:
     if not (1 <= config.start_node <= g.n):
         raise ValueError(f"start node must be in 1..{g.n}, got {config.start_node}")
     s = eigendecompose(graphs.laplacian(g), deg_tol=config.deg_tol)
-    pairs = any(q in PAIR_QUANTITIES for q in config.quantities)
-    transport.check_table_size(s.n if pairs else len(s.classes), config.grid)
+    transport.check_table_size(s, config.quantities, config.grid)
     _prepare_out_dir(config.out_dir)
 
     ts = config.grid.times()

@@ -44,6 +44,11 @@ QUANTITIES = (
 
 PAIR_QUANTITIES = ("classical_pair", "quantum_pair")
 
+# The quantities whose largest table has one row per node rather than one per
+# degeneracy class: the pairs, and the node-averaged quantum return, whose
+# per-node amplitudes are squared before the average.
+NODE_ROW_QUANTITIES = PAIR_QUANTITIES + ("quantum_avg_return",)
+
 MATRIX_QUANTITIES = ("classical_transition", "quantum_transition", "lta")
 
 # The phase kind each quantity read from a class phase table is read from;
@@ -68,10 +73,10 @@ _GRID_SNAP = 1e-9
 # is rejected before any array is allocated.
 MAX_GRID_POINTS = 10**6
 
-# Largest accepted (rows, T) table: n rows when a pair quantity is read, one
-# per degeneracy class otherwise.  It admits MAX_NODES = 4096 nodes on the
-# default 5001-point grid (2.05e7 entries; a quantum table is 16 B an entry),
-# and a run over it is rejected before any table is allocated.
+# Largest accepted (rows, T) table: n rows when a NODE_ROW_QUANTITIES member
+# is read, one per degeneracy class otherwise.  It admits MAX_NODES = 4096
+# nodes on the default 5001-point grid (2.05e7 entries; a quantum table is
+# 16 B an entry), and a run over it is rejected before any table is allocated.
 MAX_TABLE_ENTRIES = 25 * 10**6
 
 
@@ -313,8 +318,12 @@ def approx_alpha_bar_sq(s: Spectrum, class_index: int, t):
     return (d_l**2 + 2.0 * d_l * (mult[others] @ cosines)) / s.n**2
 
 
-def check_table_size(rows: int, grid: TimeGrid) -> None:
-    """Reject a table of rows x grid.size entries over MAX_TABLE_ENTRIES."""
+def check_table_size(s: Spectrum, quantities, grid: TimeGrid) -> None:
+    """Reject a run of the given quantities over grid whose largest table
+    exceeds MAX_TABLE_ENTRIES: n rows when a NODE_ROW_QUANTITIES member is
+    read (from_phases weights the phases per node), one per degeneracy class
+    otherwise."""
+    rows = s.n if any(q in NODE_ROW_QUANTITIES for q in quantities) else len(s.classes)
     entries = rows * grid.size
     if entries > MAX_TABLE_ENTRIES:
         raise ValueError(
@@ -329,12 +338,12 @@ def series(
     """Evaluate one scalar, non-pair transport quantity over a TimeGrid.
 
     The approximation needs the degeneracy-class index.  Pair series come
-    from from_phases, which reads every target node at once.  A class table
-    over MAX_TABLE_ENTRIES is rejected before it is allocated.
+    from from_phases, which reads every target node at once.  A table over
+    MAX_TABLE_ENTRIES is rejected before it is allocated.
     """
     if quantity in PAIR_QUANTITIES:
         raise ValueError(f"{quantity} series come from from_phases, not series")
-    check_table_size(len(s.classes), grid)
+    check_table_size(s, (quantity,), grid)
     ts = grid.times()
     if quantity == "approx_alpha_bar_sq":
         if class_index is None:

@@ -16,7 +16,7 @@ from ctwalk.graphs import (
     read_edge_list,
 )
 from ctwalk.spectral import eigendecompose
-from ctwalk.transport import PAIR_QUANTITIES, PHASE_KINDS, QUANTITIES
+from ctwalk.transport import NODE_ROW_QUANTITIES, PAIR_QUANTITIES, PHASE_KINDS, QUANTITIES
 
 
 def run(capsys, *argv):
@@ -223,18 +223,19 @@ class TestEvolve:
         assert not out.exists()
 
     def test_oversized_table_is_usage_error(self, tmp_path, capsys, monkeypatch):
-        # star:24 has 3 degeneracy classes: on 101 points a pair table has
-        # 24 x 101 = 2424 entries, a class table 303.
+        # star:24 has 3 degeneracy classes: on 101 points a pair table, and
+        # the per-node table of quantum_avg_return, has 24 x 101 = 2424
+        # entries, a class table 303.
         monkeypatch.setattr(transport, "MAX_TABLE_ENTRIES", 1000)
         args = ("evolve", "--graph", "star:24", "--times", "0:1:0.01")
         out = tmp_path / "out"
-        for quantities in ("quantum_pair", "classical_pair,alpha_bar_sq"):
+        for quantities in ("quantum_pair", "classical_pair,alpha_bar_sq", "quantum_avg_return"):
             code, stdout, err = run(capsys, *args, "--quantities", quantities, "--out", str(out))
             assert code == 2 and "24 x 101 table has 2424 entries" in err and "limit of 1000" in err
             assert stdout == ""
             assert not out.exists()
         code, _, _ = run(capsys, *args, "--quantities", ",".join(
-            q for q in QUANTITIES if q not in PAIR_QUANTITIES), "--out", str(out))
+            q for q in QUANTITIES if q not in NODE_ROW_QUANTITIES), "--out", str(out))
         assert code == 0
 
     def test_bad_quantity(self, tmp_path, capsys):

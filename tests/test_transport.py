@@ -1,9 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
 
+from ctwalk import transport
 from ctwalk.analysis import running_time_average
 from ctwalk.graphs import MAX_NODES, from_edge_list, gen_broom, gen_cycle, gen_path, gen_star, laplacian
 from ctwalk.spectral import eigendecompose, nearest_class
@@ -11,7 +14,9 @@ from ctwalk.transport import (
     DEFAULT_GRID,
     MAX_GRID_POINTS,
     MAX_TABLE_ENTRIES,
+    NODE_ROW_QUANTITIES,
     PHASE_KINDS,
+    QUANTITIES,
     ProbabilityMatrix,
     TimeGrid,
     TransportSeries,
@@ -75,11 +80,31 @@ class TestTimeGrid:
 
     def test_table_limit(self):
         # Checked on sizes alone: the largest graph on the default grid fits,
-        # a 300-node pair table on a 999,901-point grid (4.8 GB complex) does not.
-        check_table_size(MAX_NODES, DEFAULT_GRID)
+        # a 300-node per-node table on a 999,901-point grid (4.8 GB complex)
+        # does not, while star:300's 3-class table on that grid does.
+        largest = SimpleNamespace(n=MAX_NODES, classes=range(MAX_NODES))
+        check_table_size(largest, ("quantum_pair",), DEFAULT_GRID)
         long_grid = TimeGrid(0, 9999, 0.01)
-        with pytest.raises(ValueError, match=f"300 x 999901 table .* limit of {MAX_TABLE_ENTRIES}"):
-            check_table_size(300, long_grid)
+        for graph in (gen_path(300), gen_star(300)):
+            s = eigendecompose(laplacian(graph))
+            for quantity in ("classical_pair", "quantum_pair", "quantum_avg_return"):
+                with pytest.raises(
+                    ValueError, match=f"300 x 999901 table .* limit of {MAX_TABLE_ENTRIES}"
+                ):
+                    check_table_size(s, ("alpha_bar_sq", quantity), long_grid)
+        star = eigendecompose(laplacian(gen_star(300)))
+        check_table_size(
+            star, [q for q in QUANTITIES if q not in NODE_ROW_QUANTITIES], long_grid
+        )
+
+    def test_series_table_limit(self, monkeypatch):
+        # star:24 has 3 classes: 303 class entries on 101 points, 2424 per node.
+        monkeypatch.setattr(transport, "MAX_TABLE_ENTRIES", 1000)
+        s, grid = eigendecompose(laplacian(gen_star(24))), TimeGrid(0, 1, 0.01)
+        with pytest.raises(ValueError, match="24 x 101 table has 2424 entries"):
+            series(s, grid, "quantum_avg_return")
+        for quantity in ("classical_avg_return", "alpha_bar_sq"):
+            assert series(s, grid, quantity).values.shape == (101,)
 
     @pytest.mark.parametrize(
         "args", [(0, np.inf, 1), (0, np.nan, 1), (np.nan, 1, 0.1), (0, 1, np.inf)]
