@@ -6,11 +6,16 @@ deterministic byte-for-byte for a fixed configuration.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure (the eigensolver
 failed its residual check), 4 I/O failure.
+
+``main(argv)`` may be called any number of times in one process.  The calls
+share one parser, built on the first call: parsing keeps no state between
+calls, and building the parser costs more than most small jobs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -259,10 +264,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every main call in the process shares."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

@@ -243,8 +243,14 @@ def format_numbers(values) -> list[str]:
     return _texts(format_column(values))
 
 
-def fmt_number(x: float) -> str:
-    return format_numbers(x)[0]
+def _rows_holding(table, char: str) -> np.ndarray:
+    """Whether each row of a text table holds the given character.  When the
+    width allows, the row's hits are read eight to a word and the word
+    columns or-ed together, which costs a tenth of a reduction along rows."""
+    hits = table == ord(char)
+    if not hits.shape[1] or hits.shape[1] % 8:
+        return hits.any(axis=1)
+    return functools.reduce(np.bitwise_or, hits.view(_WORD).T) != 0
 
 
 def _json_tokens(table) -> np.ndarray:
@@ -253,8 +259,8 @@ def _json_tokens(table) -> np.ndarray:
     n, width = table.shape
     tokens = np.zeros((n, max(width, 24) + 2), np.uint8)
     tokens[:, :width] = table
-    exponent = (table == ord("e")).any(axis=1)
-    integral = ~exponent & ~(table == ord(".")).any(axis=1)
+    exponent = _rows_holding(table, "e")
+    integral = ~exponent & ~_rows_holding(table, ".")
     tokens[integral, -2:] = np.frombuffer(b".0", np.uint8)
     # The exponent text follows the 'e': a sign and two or three digits.
     rows = np.flatnonzero(exponent)
@@ -266,7 +272,7 @@ def _json_tokens(table) -> np.ndarray:
     plus_15 = (sign == ord("+")) & ~three & (power == 15)
     from_minus_308 = (sign == ord("-")) & three & (power >= 308)
     # Those, and inf and nan, go through repr.
-    odd = np.union1d(rows[plus_15 | from_minus_308], np.flatnonzero((table == ord("n")).any(axis=1)))
+    odd = np.union1d(rows[plus_15 | from_minus_308], np.flatnonzero(_rows_holding(table, "n")))
     if odd.size:
         reprs = _text_rows([_repr_token(text) for text in _texts(table[odd])])
         tokens[odd] = 0

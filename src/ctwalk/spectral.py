@@ -130,8 +130,13 @@ def cluster_degeneracies(eigenvalues, deg_tol: float = DEFAULT_DEG_TOL):
         raise ValueError("eigenvalues must be sorted ascending")
     bounds = np.concatenate(([0], np.flatnonzero(np.diff(w) > deg_tol) + 1, [w.size]))
     b = bounds.tolist()
+    # A class's mean is its members' sum over their count, which is how
+    # np.mean forms it, bit for bit, without np.mean's fixed cost.
+    # np.add.reduceat sums in another order and is not identical.
+    values = w.tolist()
     classes = [
-        DegeneracyClass(float(w[i]) if j - i == 1 else float(np.mean(w[i:j])), tuple(range(i, j)))
+        DegeneracyClass(values[i] if j - i == 1 else float(np.add.reduce(w[i:j])) / (j - i),
+                        tuple(range(i, j)))
         for i, j in zip(b, b[1:])
     ]
     spreads = w[bounds[1:] - 1] - w[bounds[:-1]]

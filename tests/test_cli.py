@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from ctwalk import transport
-from ctwalk.cli import main, parse_times
+from ctwalk import cli, transport
+from ctwalk.cli import DEFAULT_QUANTITIES, build_parser, main, parse_times
 from ctwalk.graphs import (
     MAX_NODES,
     format_edge_list,
@@ -490,3 +490,60 @@ class TestExitCodes:
 
     def test_unknown_flag(self, capsys):
         assert main(["gen", "--graph", "path:3", "--frobnicate"]) == 2
+
+
+class TestSharedParser:
+    """Every main() call in a process parses with one shared parser."""
+
+    def test_options_do_not_leak_between_calls(self, tmp_path, capsys):
+        first, second, third = (tmp_path / name for name in ("first", "second", "third"))
+        code, _, _ = run(
+            capsys,
+            "evolve", "--graph", "path:3", "--times", "0:1:0.1", "--format", "json",
+            "--quantities", "quantum_pair", "--start-node", "2", "--out", str(first),
+        )
+        assert code == 0
+        assert sorted(p.name for p in first.iterdir()) == [f"quantum_pair_k{k}_j2.json" for k in (1, 2, 3)]
+        code, _, _ = run(capsys, "evolve", "--graph", "path:3", "--out", str(second))
+        assert code == 0
+        assert sorted(p.name for p in second.iterdir()) == sorted(f"{q}.csv" for q in DEFAULT_QUANTITIES)
+        rows = (second / "alpha_bar_sq.csv").read_text().splitlines()
+        assert len(rows) == 1 + 5001 and rows[-1].startswith("50,")
+        # Only the quantity is set again: the start node and format are the defaults.
+        code, _, _ = run(
+            capsys, "evolve", "--graph", "path:3", "--quantities", "quantum_pair", "--out", str(third)
+        )
+        assert code == 0
+        assert sorted(p.name for p in third.iterdir()) == [f"quantum_pair_k{k}_j1.csv" for k in (1, 2, 3)]
+        # Another subcommand reads --format too.
+        code, _, _ = run(capsys, "lta", "--graph", "path:3", "--out", str(third))
+        assert code == 0 and (third / "lta.csv").exists()
+
+    @pytest.mark.parametrize("bad", [["--times", "0:1"], ["--format", "xml"], ["--frobnicate"]])
+    def test_good_call_after_usage_error(self, tmp_path, capsys, bad):
+        code, _, _ = run(capsys, "evolve", "--graph", "path:3", *bad, "--out", str(tmp_path / "bad"))
+        assert code == 2
+        assert not (tmp_path / "bad").exists()
+        code, out, _ = run(capsys, "lta", "--graph", "path:3", "--out", str(tmp_path / "good"))
+        assert code == 0
+        assert out == f"{tmp_path / 'good' / 'lta.csv'}\n"
+
+    @pytest.mark.parametrize("argv", [[], ["gen"], ["evolve"], ["lta"], ["report"]])
+    def test_help_text_is_that_of_a_fresh_parser(self, capsys, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--help"])
+        fresh = capsys.readouterr().out
+        assert "usage: ctwalk" in fresh
+        for _ in range(2):
+            assert run(capsys, *argv, "--help") == (0, fresh, "")
+
+    def test_parser_is_built_once(self, tmp_path, capsys, monkeypatch):
+        builds = []
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+        cli._parser.cache_clear()
+        try:
+            for _ in range(10):
+                assert run(capsys, "gen", "--graph", "path:3", "--out", str(tmp_path))[0] == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1

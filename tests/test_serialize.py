@@ -10,7 +10,6 @@ from ctwalk.graphs import gen_path, laplacian
 from ctwalk.spectral import eigendecompose
 from ctwalk.serialize import (
     TimeColumn,
-    fmt_number,
     format_numbers,
     matrix_to_csv,
     matrix_to_json,
@@ -39,9 +38,7 @@ def _report(equipartition_time=30.61):
 
 class TestNumbers:
     def test_fifteen_significant_digits(self):
-        assert fmt_number(0.1) == "0.1"
-        assert fmt_number(1.0) == "1"
-        assert fmt_number(1 / 3) == "0.333333333333333"
+        assert format_numbers([0.1, 1.0, 1 / 3]) == ["0.1", "1", "0.333333333333333"]
 
     def test_clamp_within_slack(self):
         ser = TransportSeries(
@@ -122,7 +119,7 @@ def _fstring_csv(header, *columns):
 class TestOneShotFormatter:
     def test_edge_values_match_fstring(self):
         assert format_numbers(np.array(EDGE_VALUES)) == [f"{x:.15g}" for x in EDGE_VALUES]
-        assert [fmt_number(x) for x in EDGE_VALUES] == [f"{x:.15g}" for x in EDGE_VALUES]
+        assert [format_numbers(x)[0] for x in EDGE_VALUES] == [f"{x:.15g}" for x in EDGE_VALUES]
 
     def test_random_magnitudes_match_fstring(self):
         rng = np.random.default_rng(11)
@@ -312,6 +309,22 @@ class TestJsonWriter:
         m = ProbabilityMatrix(0, np.zeros((0, 0)), "lta")
         obj = {"quantity": "lta", "n": 0, "labels": [], "time": None, "entries": []}
         assert matrix_to_json(m) == _reference(obj)
+
+    @pytest.mark.parametrize("size", [len(JSON_EDGE_VALUES), serialize._VECTOR_MIN + 3],
+                             ids=["percent-path", "numpy-path"])
+    def test_tokens_at_every_width(self, size):
+        """_json_tokens tests its rows eight bytes at a time when the table's
+        width is a multiple of 8 and byte by byte otherwise; at each width
+        every token is json.dumps of the float its text parses back to."""
+        values = np.concatenate([JSON_EDGE_VALUES, _random_magnitudes(size - len(JSON_EDGE_VALUES), 23)])
+        table = serialize.format_column(values)
+        expected = [json.dumps(float(text)) for text in format_numbers(values)]
+        width = table.shape[1]
+        assert (width % 8 != 0) == (size < serialize._VECTOR_MIN)
+        for padded_width in range(width, width + 9):
+            padded = np.zeros((len(table), padded_width), np.uint8)
+            padded[:, :width] = table
+            assert serialize._texts(serialize._json_tokens(padded)) == expected
 
     @pytest.mark.parametrize("value", JSON_EDGE_VALUES)
     def test_report_matches_json_dumps(self, value):
