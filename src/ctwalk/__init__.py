@@ -29,7 +29,6 @@ from .spectral import (
     Spectrum,
     cluster_degeneracies,
     eigendecompose,
-    format_spectrum,
     nearest_class,
     symmetry_degree,
 )
@@ -48,9 +47,7 @@ from .transport import (
     class_phases,
     from_phases,
     lta_matrix,
-    propagator,
     series,
-    transition_matrix,
 )
 from .analysis import (
     EfficiencyReport,

@@ -11,9 +11,11 @@ downstream depends only on the class projectors, not on that choice.
 The eigenvalues split into degeneracy classes, contiguous runs, at every gap
 above deg_tol; a run spreading wider than deg_tol is a ValueError, and so is
 a deg_tol below ten times the eigen-residual, where noise could split a
-class.  Every transport series and long-time average reads class values and
-class-summed weights from this one partition, so "degenerate" means one
-thing throughout.
+class.  So is a class wider than 4 (r_first + r_last) + n eps max|w|, with
+r_i = ||L q_i - w_i q_i||_2: each w_i lies within r_i of a true eigenvalue
+(Parlett), so such a class merges distinct ones.  Every transport series and
+long-time average reads class values and class-summed weights from this one
+partition, so "degenerate" means one thing throughout.
 """
 
 from __future__ import annotations
@@ -38,6 +40,11 @@ _RESIDUAL_TOL = 1e-10
 # have the largest residuals measured, at most 6.3e-11 (n = 3000) for
 # n <= 4096, so the default deg_tol clears the floor.
 _DEG_TOL_FLOOR = 10.0
+
+# Slack on the merge bound for the rounding of the residual norms: at the
+# default deg_tol, spread / (r_first + r_last) is at most 1.022 on the graphs
+# measured; family:e at deg_tol 100, merging {0, 1 x 8, 10}, gives 2.6e15.
+_MERGE_SLACK = 4.0
 
 
 class ConvergenceError(RuntimeError):
@@ -91,19 +98,20 @@ def _check_deg_tol(deg_tol: float) -> None:
         raise ValueError(f"deg_tol must be finite and positive, got {deg_tol!r}")
 
 
-def _check_residuals(a: np.ndarray, w: np.ndarray, v: np.ndarray) -> float:
+def _check_residuals(a: np.ndarray, w: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
     """Raise ConvergenceError unless v is orthonormal and a v = v diag(w) to
-    within _RESIDUAL_TOL * max(1, ||a||_F); return the eigen-residual.
-    Written so that NaN fails."""
+    within _RESIDUAL_TOL * max(1, ||a||_F); return the eigen-residual and the
+    2-norm of each residual column.  Written so that NaN fails."""
     tol = _RESIDUAL_TOL * max(1.0, float(np.linalg.norm(a)))
     orth = float(np.max(np.abs(v.T @ v - np.eye(a.shape[0])), initial=0.0))
-    eig = float(np.max(np.abs(a @ v - v * w), initial=0.0))
+    residual = a @ v - v * w
+    eig = float(np.max(np.abs(residual), initial=0.0))
     if not (orth <= tol and eig <= tol):
         raise ConvergenceError(
             f"eigendecomposition failed its residual check: orthogonality residual "
             f"{orth:.3e}, eigen-residual {eig:.3e}, tolerance {tol:.3e}"
         )
-    return eig
+    return eig, np.sqrt(np.einsum("ij,ij->j", residual, residual))
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -157,7 +165,8 @@ def eigendecompose(matrix, deg_tol: float = DEFAULT_DEG_TOL) -> Spectrum:
     and the degeneracy-class partition at tolerance ``deg_tol``.  ``deg_tol``
     also bounds the accepted input asymmetry.  A non-finite entry is a
     ValueError naming its 0-based [row, column]; so is a deg_tol that is not
-    finite and positive, or one below _DEG_TOL_FLOOR times the eigen-residual.
+    finite and positive, or one below _DEG_TOL_FLOOR times the eigen-residual,
+    or one so wide that a class merges distinct eigenvalues.
 
     Raises ConvergenceError when LAPACK fails or its result fails the
     residual check (see the module docstring).
@@ -179,17 +188,35 @@ def eigendecompose(matrix, deg_tol: float = DEFAULT_DEG_TOL) -> Spectrum:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver failed: {exc}") from exc
-    floor = _DEG_TOL_FLOOR * _check_residuals(a, w, v)
+    eig, norms = _check_residuals(a, w, v)
+    floor = _DEG_TOL_FLOOR * eig
     if deg_tol < floor:
         raise ValueError(
             f"deg_tol {deg_tol:.3e} is below the floor {floor:.3e}, {_DEG_TOL_FLOOR:g} times "
             f"the eigen-residual, where noise could split a degeneracy class; raise --deg-tol"
         )
     order = np.argsort(w, kind="stable")
-    w = w[order]
+    w, norms = w[order], norms[order]
     v = _fix_signs(v[:, order])
-    classes = tuple(cluster_degeneracies(w, deg_tol))
-    return Spectrum(n=a.shape[0], eigenvalues=w, eigenvectors=v, classes=classes, deg_tol=deg_tol)
+    s = Spectrum(n=a.shape[0], eigenvalues=w, eigenvectors=v,
+                 classes=tuple(cluster_degeneracies(w, deg_tol)), deg_tol=deg_tol)
+    if len(s.classes) == s.n:
+        return s  # no class has two members, so none can merge
+    first, last = s.class_starts, np.append(s.class_starts, s.n)[1:] - 1
+    spreads = w[last] - w[first]
+    # max(-w[0], w[-1]) is max|w| for an ascending w.  Compared, not divided:
+    # equal members with zero residuals pass.
+    limits = _MERGE_SLACK * (norms[first] + norms[last])
+    limits += s.n * np.finfo(float).eps * max(-w[0], w[-1])
+    merged = spreads > limits
+    if merged.any():
+        c = int(np.argmax(merged))
+        raise ValueError(
+            f"degeneracy class at {s.class_values[c]:.15g} spreads {spreads[c]:.3e}, more than "
+            f"its residual bound {limits[c]:.3e}, so it merges distinct eigenvalues; lower "
+            f"--deg-tol to split it"
+        )
+    return s
 
 
 def nearest_class(spectrum: Spectrum, value: float = 1.0) -> int:
@@ -205,13 +232,3 @@ def symmetry_degree(spectrum: Spectrum) -> int:
     if cls is None or abs(cls.value - 1.0) > spectrum.deg_tol or cls.multiplicity < 2:
         return 0
     return cls.multiplicity
-
-
-def format_spectrum(spectrum: Spectrum) -> str:
-    """Plain-text dump for debugging and golden tests: eigenvalues to 15
-    significant digits plus the (value, multiplicity) class table."""
-    lines = [f"n {spectrum.n}", f"deg_tol {spectrum.deg_tol:.15g}", "eigenvalues"]
-    lines += [f"{w:.15g}" for w in spectrum.eigenvalues]
-    lines.append("classes value multiplicity")
-    lines += [f"{c.value:.15g} {c.multiplicity}" for c in spectrum.classes]
-    return "\n".join(lines) + "\n"

@@ -1,25 +1,24 @@
 """Transport quantities for continuous-time classical and quantum walks.
 
-Everything is computed from a Spectrum: the classical semigroup e^{-tL} and
-quantum propagator e^{-itL} via their spectral forms, pairwise transition
-probabilities, long-time averages (closed-form over degeneracy classes, no
-numerical time integration anywhere in this module), average return
-probabilities, the eigenvalue-only lower bound |alpha-bar(t)|^2 and its
-asymptote, and the dominant-degeneracy cosine approximation.  Every series
-and average is class weights times class phases: the weights are summed
-over each degeneracy class by one reduction, ``_class_sum``, and the phases
-taken at the class values, so pi-bar(t) >= |alpha-bar(t)|^2 and the Cesaro
-limit of a pair series is chi_{k,j} by construction.
+Everything is computed from a Spectrum: pairwise transition probabilities of
+the classical semigroup e^{-tL} and the quantum propagator e^{-itL},
+long-time averages (closed-form over degeneracy classes, no numerical time
+integration anywhere in this module), average return probabilities, the
+eigenvalue-only lower bound |alpha-bar(t)|^2 and its asymptote, and the
+dominant-degeneracy cosine approximation.  Every series and average is class
+weights times class phases: the weights are summed over each degeneracy
+class by one reduction, ``_class_sum``, and the phases taken at the class
+values, so pi-bar(t) >= |alpha-bar(t)|^2 and the Cesaro limit of a pair
+series is chi_{k,j} by construction.
 
-Time phases e^{-Et} and e^{-iEt} are evaluated in one place, ``_phases``.
-Series take one route: ``class_phases`` gives the (C, T) table of one kind
-at the C class values, and ``from_phases`` reads any of the five quantities
-in PHASE_KINDS from the table of its kind, all n pair series of one start
-node or one average row at a time, so a caller that holds one table per
-kind evaluates each kind once however many quantities it reads.  ``series``
-wraps one non-pair quantity on a TimeGrid as a TransportSeries.  Matrices
-take the other route: ``propagator`` applies the phases of the raw
-eigenvalues at one time t, and ``transition_matrix`` squares it.
+Time phases e^{-Et} and e^{-iEt} are evaluated in one place,
+``class_phases``, which gives the (C, T) table of one kind at the C class
+values.  ``from_phases`` reads any of the five quantities in PHASE_KINDS from
+the table of its kind, all n pair series of one start node or one average
+row at a time, so a caller that holds one table per kind evaluates each kind
+once however many quantities it reads.  ``series`` wraps one non-pair
+quantity on a TimeGrid as a TransportSeries.  The transition probabilities
+at one time t are the pair tables of a 0-d t, one start node at a time.
 
 A 0-d time gives tables without the time axis.  Node labels are 1-based.
 """
@@ -49,7 +48,7 @@ PAIR_QUANTITIES = ("classical_pair", "quantum_pair")
 # per-node amplitudes are squared before the average.
 NODE_ROW_QUANTITIES = PAIR_QUANTITIES + ("quantum_avg_return",)
 
-MATRIX_QUANTITIES = ("classical_transition", "quantum_transition", "lta")
+MATRIX_QUANTITIES = ("lta",)
 
 # The phase kind each quantity read from a class phase table is read from;
 # the cosine approximation is not one of them.
@@ -86,8 +85,9 @@ class TimeGrid:
 
     The grid has floor((stop - start)/step) + 1 points, except that a
     quotient within a relative 1e-9 of an integer is rounded to it, so a
-    stop that lies on the grid up to rounding is included.  A grid of more
-    than MAX_GRID_POINTS points is rejected when it is built.
+    stop that lies on the grid up to rounding is included, and is then the
+    last point exactly.  A grid of more than MAX_GRID_POINTS points is
+    rejected when it is built.
     """
 
     start: float
@@ -108,17 +108,25 @@ class TimeGrid:
                 f"grid has {self.size} points, more than the limit of {MAX_GRID_POINTS}"
             )
 
-    @property
-    def size(self) -> int:
-        """Number of grid points."""
+    def _steps(self) -> tuple[int, bool]:
+        """Steps from start to the last point, and whether that point is stop."""
         quotient = (self.stop - self.start) / self.step
         nearest = round(quotient)
         if abs(quotient - nearest) <= _GRID_SNAP * max(1.0, abs(quotient)):
-            return nearest + 1
-        return math.floor(quotient) + 1
+            return nearest, True
+        return math.floor(quotient), False
+
+    @property
+    def size(self) -> int:
+        """Number of grid points."""
+        return self._steps()[0] + 1
 
     def times(self) -> np.ndarray:
-        return self.start + self.step * np.arange(self.size)
+        steps, ends_on_stop = self._steps()
+        ts = self.start + self.step * np.arange(steps + 1)
+        if ends_on_stop:
+            ts[-1] = self.stop
+        return ts
 
 
 # The grid of the ten-node study, used by the CLI and efficiency_report.
@@ -155,7 +163,8 @@ class TransportSeries:
 @dataclass(frozen=True)
 class ProbabilityMatrix:
     """Dense n x n probability matrix; entry [k-1, j-1] refers to target node
-    k and start node j.  'time' is None for the long-time-average matrix."""
+    k and start node j.  The long-time average, tag lta, is the one matrix
+    quantity; its 'time' is None, written as null in JSON."""
 
     n: int
     entries: np.ndarray
@@ -184,13 +193,6 @@ def _check_prob_bounds(values: np.ndarray, what: str) -> None:
         raise ValueError(f"{what}: values escape [0,1] beyond tolerance (min {lo}, max {hi})")
 
 
-def _as_times(t, require_nonneg: bool):
-    ts = np.asarray(t, dtype=float)
-    if require_nonneg and np.any(ts < 0):
-        raise ValueError("classical propagation requires t >= 0 (semigroup, not a group)")
-    return ts
-
-
 def _class_sum(s: Spectrum, x) -> np.ndarray:
     """x with its last axis, over eigenvector indices, summed per class."""
     return np.add.reduceat(x, s.class_starts, axis=-1)
@@ -200,20 +202,6 @@ def _class_mults(s: Spectrum) -> np.ndarray:
     return _class_sum(s, np.ones(s.n))
 
 
-def _phases(values: np.ndarray, ts, kind: str) -> np.ndarray:
-    """The time phases e^{-v t} (classical) or e^{-i v t} (quantum) for every
-    value v and time t; shape values.shape + ts.shape.  Evaluated in place,
-    so the table is the only array of its size alive on return."""
-    if kind == "classical":
-        phases = np.multiply.outer(values, ts)
-        np.negative(phases, out=phases)
-    elif kind == "quantum":
-        phases = -1j * np.multiply.outer(values, ts)
-    else:
-        raise ValueError(f"kind must be 'classical' or 'quantum', got {kind!r}")
-    return np.exp(phases, out=phases)
-
-
 def _weighted(weights: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """weights @ phases, with the weights made complex for a quantum table."""
     return (weights.astype(complex) if np.iscomplexobj(phases) else weights) @ phases
@@ -221,8 +209,20 @@ def _weighted(weights: np.ndarray, phases: np.ndarray) -> np.ndarray:
 
 def class_phases(s: Spectrum, t, kind: str) -> np.ndarray:
     """The (C, T) table of class phases e^{-E_c t} (classical) or
-    e^{-i E_c t} (quantum) that from_phases reads quantities of that kind from."""
-    return _phases(s.class_values, _as_times(t, require_nonneg=kind == "classical"), kind)
+    e^{-i E_c t} (quantum) that from_phases reads quantities of that kind from.
+    Evaluated in place, so the table is the only array of its size alive on
+    return."""
+    ts = np.asarray(t, dtype=float)
+    if kind == "classical":
+        if np.any(ts < 0):
+            raise ValueError("classical propagation requires t >= 0 (semigroup, not a group)")
+        phases = np.multiply.outer(s.class_values, ts)
+        np.negative(phases, out=phases)
+    elif kind == "quantum":
+        phases = -1j * np.multiply.outer(s.class_values, ts)
+    else:
+        raise ValueError(f"kind must be 'classical' or 'quantum', got {kind!r}")
+    return np.exp(phases, out=phases)
 
 
 def from_phases(s: Spectrum, quantity: str, phases: np.ndarray, j: int) -> np.ndarray:
@@ -251,22 +251,6 @@ def from_phases(s: Spectrum, quantity: str, phases: np.ndarray, j: int) -> np.nd
         values = np.mean(values, axis=0)
     _check_prob_bounds(values, quantity)
     return values if quantity in PAIR_QUANTITIES else values[np.newaxis]
-
-
-def propagator(s: Spectrum, t: float, kind: str) -> np.ndarray:
-    """Spectral-path propagator: e^{-tL} (classical, real) or e^{-itL}
-    (quantum, complex)."""
-    q = s.eigenvectors
-    phases = _phases(s.eigenvalues, _as_times(t, require_nonneg=kind == "classical"), kind)
-    return (q * phases if kind == "classical" else q.astype(complex) * phases) @ q.T
-
-
-def transition_matrix(s: Spectrum, t: float, kind: str) -> ProbabilityMatrix:
-    """All n^2 transition probabilities at time t in one pass; columns sum
-    to 1 (conservation / unitarity)."""
-    u = propagator(s, t, kind)
-    entries = u if kind == "classical" else np.abs(u) ** 2
-    return ProbabilityMatrix(s.n, entries, quantity=f"{kind}_transition", time=float(t))
 
 
 def lta_matrix(s: Spectrum) -> ProbabilityMatrix:
@@ -310,7 +294,7 @@ def approx_alpha_bar_sq(s: Spectrum, class_index: int, t):
     """
     if not (0 <= class_index < len(s.classes)):
         raise ValueError(f"class_index must be in 0..{len(s.classes) - 1}, got {class_index}")
-    ts = _as_times(t, require_nonneg=False)
+    ts = np.asarray(t, dtype=float)
     mult, vals = _class_mults(s), s.class_values
     d_l, e_l = mult[class_index], vals[class_index]
     others = np.arange(len(s.classes)) != class_index

@@ -14,7 +14,7 @@ def expm_oracle(matrix, t: float, kind: str) -> np.ndarray:
 
     The argument is halved until its max-abs entry is <= 0.5, the Taylor
     series is summed to order 20, and the result squared back up.  This is a
-    validation oracle for the spectral propagators, not a production path.
+    validation oracle for the spectral route, not a production path.
     """
     a = np.asarray(matrix, dtype=float)
     if kind == "classical":
@@ -40,3 +40,28 @@ def expm_oracle(matrix, t: float, kind: str) -> np.ndarray:
     for _ in range(scale):
         result = result @ result
     return result
+
+
+def propagator(s, t: float, kind: str) -> np.ndarray:
+    """e^{-tL} (classical, real) or e^{-itL} (quantum, complex) at one time t,
+    from the raw eigenvalues and eigenvectors of the Spectrum s.
+
+    This is the matrix route: it evaluates its own phases, one per
+    eigenvalue rather than one per degeneracy class, so it stays independent
+    of the class phase tables that ctwalk reads every series from.
+    """
+    if kind == "classical":
+        phases = np.exp(-t * s.eigenvalues)
+    elif kind == "quantum":
+        phases = np.exp(-1j * t * s.eigenvalues)
+    else:
+        raise ValueError(f"kind must be 'classical' or 'quantum', got {kind!r}")
+    q = s.eigenvectors
+    return (q * phases) @ q.T
+
+
+def transition_matrix(s, t: float, kind: str) -> np.ndarray:
+    """All n^2 transition probabilities at time t from the propagator: entry
+    [k-1, j-1] is target node k from start node j."""
+    u = propagator(s, t, kind)
+    return u if kind == "classical" else np.abs(u) ** 2

@@ -11,6 +11,7 @@ from ctwalk.analysis import decay_slope, efficiency_report, running_time_average
 from ctwalk.graphs import FAMILY_LABELS, from_edge_list, gen_star, laplacian
 from ctwalk.spectral import Spectrum, eigendecompose, symmetry_degree
 from ctwalk.transport import (
+    PAIR_QUANTITIES,
     PHASE_KINDS,
     TimeGrid,
     chi_bar,
@@ -18,9 +19,7 @@ from ctwalk.transport import (
     class_phases,
     from_phases,
     lta_matrix,
-    propagator,
     series,
-    transition_matrix,
 )
 
 from oracles import expm_oracle
@@ -31,6 +30,13 @@ LB_TABLE = {"a": 0.10, "b": 0.12, "c": 0.22, "d": 0.40, "e": 0.66}
 def _average(s, quantity, t):
     """An average-return quantity at the time(s) t, read from its class phases."""
     return from_phases(s, quantity, class_phases(s, t, PHASE_KINDS[quantity]), 1)[0]
+
+
+def _transitions(s, quantity, t):
+    """The pair tables of every start node at one time t, read from one class
+    phase table: column j-1 holds the probabilities from start node j."""
+    phases = class_phases(s, t, PHASE_KINDS[quantity])
+    return np.column_stack([from_phases(s, quantity, phases, j) for j in range(1, s.n + 1)])
 
 
 def _passed(num, text):
@@ -122,22 +128,25 @@ def test_criterion_08_oracle_equivalence():
         m = laplacian(g)
         s = eigendecompose(m)
         for t in (0.3, 1.7, 4.0):
-            for kind in ("classical", "quantum"):
-                gap = np.max(np.abs(propagator(s, t, kind) - expm_oracle(m, t, kind)))
+            for quantity in PAIR_QUANTITIES:
+                kind = PHASE_KINDS[quantity]
+                u = expm_oracle(m, t, kind)
+                oracle = u if kind == "classical" else np.abs(u) ** 2
+                gap = np.max(np.abs(_transitions(s, quantity, t) - oracle))
                 assert gap <= 1e-8, (n, t, kind)
-    _passed(8, "spectral propagators match series-expansion oracle on 50 random trees")
+    _passed(8, "pair tables match series-expansion oracle on 50 random trees")
 
 
 def test_criterion_09_conservation_suite(family_spectra):
     for label, s in family_spectra.items():
         for t in (0.1, 1.0, 10.0, 100.0):
-            for kind in ("classical", "quantum"):
-                m = transition_matrix(s, t, kind).entries
-                assert np.max(np.abs(m.sum(axis=0) - 1.0)) <= 1e-9, (label, t, kind)
+            for quantity in PAIR_QUANTITIES:
+                m = _transitions(s, quantity, t)
+                assert np.max(np.abs(m.sum(axis=0) - 1.0)) <= 1e-9, (label, t, quantity)
         chi = lta_matrix(s).entries
         assert np.max(np.abs(chi.sum(axis=1) - 1.0)) <= 1e-9, label
         assert np.max(np.abs(chi - chi.T)) <= 1e-10, label
-    _passed(9, "transition columns and chi rows sum to 1; chi symmetric")
+    _passed(9, "pair-table columns and chi rows sum to 1; chi symmetric")
 
 
 def test_criterion_10_efficiency_verdicts(family_graphs):

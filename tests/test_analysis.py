@@ -197,14 +197,14 @@ class TestEfficiencyReport:
 
     def test_lower_bound_read_at_window_points_only(self, monkeypatch):
         tables = []
-        phases = transport._phases
+        phases = transport.class_phases
 
-        def spy(values, ts, kind):
-            table = phases(values, ts, kind)
+        def spy(s, t, kind):
+            table = phases(s, t, kind)
             tables.append((kind, table.shape))
             return table
 
-        monkeypatch.setattr(transport, "_phases", spy)
+        monkeypatch.setattr(transport, "class_phases", spy)
         efficiency_report(gen_family("a"))
         # The default grid 0:50:0.01 has 5001 points, 451 of them in 0.5..5.
         assert tables == [("classical", (10, 5001)), ("quantum", (10, 451))]

@@ -18,6 +18,8 @@ from ctwalk.graphs import (
 from ctwalk.spectral import eigendecompose
 from ctwalk.transport import NODE_ROW_QUANTITIES, PAIR_QUANTITIES, PHASE_KINDS, QUANTITIES
 
+from oracles import transition_matrix
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -149,9 +151,8 @@ class TestEvolve:
         ts = parse_times("0:6:0.25").times()
         for quantity in ("classical_pair", "quantum_pair"):
             kind = PHASE_KINDS[quantity]
-            # Row i holds column j=3 of the propagator at ts[i]; pair k reads entry k-1.
-            u = np.array([transport.propagator(s, t, kind)[:, 2] for t in ts])
-            expected = u if kind == "classical" else np.abs(u) ** 2
+            # Row i holds column j=3 of the transition matrix at ts[i]; pair k reads entry k-1.
+            expected = np.array([transition_matrix(s, t, kind)[:, 2] for t in ts])
             for k in range(1, 8):
                 path = tmp_path / f"{quantity}_k{k}_j3.{fmt}"
                 if fmt == "csv":
@@ -181,13 +182,13 @@ class TestEvolve:
     ])
     def test_one_phase_table_per_kind(self, tmp_path, capsys, monkeypatch, quantities, kinds):
         evaluated = []
-        phases = transport._phases
+        phases = transport.class_phases
 
-        def spy(values, ts, kind):
+        def spy(s, t, kind):
             evaluated.append(kind)
-            return phases(values, ts, kind)
+            return phases(s, t, kind)
 
-        monkeypatch.setattr(transport, "_phases", spy)
+        monkeypatch.setattr(transport, "class_phases", spy)
         code, _, _ = run(
             capsys,
             "evolve", "--graph", "path:24", "--quantities", quantities, "--out", str(tmp_path),
@@ -455,6 +456,25 @@ class TestExitCodes:
         assert code == 2 and "spreads 8.876e-03" in err and "lower --deg-tol" in err
         assert stdout == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen", "evolve", "lta", "report"])
+    def test_deg_tol_merging_distinct_eigenvalues_is_usage_error(self, tmp_path, capsys, command):
+        # At deg_tol 100 family:e's spectrum {0, 1 x 8, 10} is one class, and
+        # report would give symmetry_degree 10 and chi_bar_lb 1.
+        out = tmp_path / "out"
+        code, stdout, err = run(
+            capsys, command, "--graph", "family:e", "--deg-tol", "100", "--out", str(out)
+        )
+        assert code == 2 and "spreads 1.000e+01" in err and "merges distinct eigenvalues" in err
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_report_grid_ending_on_stop(self, tmp_path, capsys):
+        # 0.02 + 0.03 * 166 is one ulp short of 5, the end of the slope window.
+        code, _, _ = run(
+            capsys, "report", "--graph", "family:a", "--times", "0.02:5:0.03", "--out", str(tmp_path)
+        )
+        assert code == 0
 
     @pytest.mark.parametrize("times, reason", [("0:3:0.01", "time range 0..3"), ("0:50:1", "got 5")])
     def test_report_grid_missing_slope_window(self, tmp_path, capsys, times, reason):

@@ -295,7 +295,7 @@ class TestJsonWriter:
     def test_matrix_matches_json_dumps(self, time):
         entries = 10.0 ** np.random.default_rng(7).uniform(-330.0, 0.0, (45, 45))
         entries[0, :6] = [0.0, 1.0, 5e-324, 1e-300, 1 / 3, 0.1 + 0.2]
-        m = ProbabilityMatrix(45, entries, "quantum_transition" if time is not None else "lta", time)
+        m = ProbabilityMatrix(45, entries, "lta", time)
         obj = {
             "quantity": m.quantity,
             "n": 45,
@@ -378,9 +378,9 @@ class TestMatrixExport:
         assert matrix_to_csv(m) == "0.5,0.5\n0.5,0.5\n"
 
     def test_json_carries_labels_and_tag(self):
-        m = ProbabilityMatrix(2, np.eye(2), "quantum_transition", time=0.0)
+        m = ProbabilityMatrix(2, np.eye(2), "lta", time=0.0)
         obj = json.loads(matrix_to_json(m))
-        assert obj["quantity"] == "quantum_transition"
+        assert obj["quantity"] == "lta"
         assert obj["labels"] == [1, 2]
         assert obj["time"] == 0.0
         assert obj["entries"] == [[1.0, 0.0], [0.0, 1.0]]

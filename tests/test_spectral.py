@@ -3,14 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
-from ctwalk.graphs import from_edge_list, gen_path, gen_star, laplacian
+from ctwalk.graphs import gen_path, gen_star, laplacian
 from ctwalk.spectral import (
     ConvergenceError,
     DegeneracyClass,
     Spectrum,
     cluster_degeneracies,
     eigendecompose,
-    format_spectrum,
     symmetry_degree,
 )
 
@@ -145,6 +144,15 @@ class TestEigendecompose:
             eigendecompose(np.eye(3), deg_tol=9e-12)
         assert [c.multiplicity for c in eigendecompose(np.eye(3), deg_tol=2e-11).classes] == [3]
 
+    def test_class_merging_distinct_eigenvalues_fails(self):
+        # At deg_tol 100 the star's spectrum {0, 1 x 8, 10} is one class
+        # spreading 10, while each eigenvalue is within about 1e-15 of a true one.
+        with pytest.raises(ValueError, match=r"at 1\.8 spreads 1\.000e\+01, more than its residual bound"):
+            eigendecompose(laplacian(gen_star(10)), deg_tol=100)
+        # Two exact eigenvalues 1e-9 apart, within the default deg_tol.
+        with pytest.raises(ValueError, match="merges distinct eigenvalues"):
+            eigendecompose(np.diag([1.0, 1.0 + 1e-9]))
+
     def test_deterministic_signs(self):
         m = laplacian(gen_star(10))
         a = eigendecompose(m)
@@ -239,14 +247,3 @@ class TestSymmetryDegree:
 
     def test_no_eigenvalue_one(self, k2_spectrum):
         assert symmetry_degree(k2_spectrum) == 0
-
-
-class TestSerialization:
-    def test_format_spectrum(self):
-        s = eigendecompose(laplacian(from_edge_list(2, [(1, 2)])))
-        text = format_spectrum(s)
-        lines = text.splitlines()
-        assert lines[0] == "n 2"
-        assert "eigenvalues" in lines
-        assert lines[-1] == "2 1"
-        assert text == format_spectrum(eigendecompose(laplacian(from_edge_list(2, [(1, 2)]))))

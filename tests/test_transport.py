@@ -2,7 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
 
@@ -15,6 +15,7 @@ from ctwalk.transport import (
     MAX_GRID_POINTS,
     MAX_TABLE_ENTRIES,
     NODE_ROW_QUANTITIES,
+    PAIR_QUANTITIES,
     PHASE_KINDS,
     QUANTITIES,
     ProbabilityMatrix,
@@ -27,12 +28,10 @@ from ctwalk.transport import (
     class_phases,
     from_phases,
     lta_matrix,
-    propagator,
     series,
-    transition_matrix,
 )
 
-from oracles import expm_oracle
+from oracles import expm_oracle, propagator, transition_matrix
 
 # Classical propagator entry e^{-L}[0, 4] for the ten-node path, frozen from
 # an independent scipy.linalg.expm evaluation.
@@ -43,6 +42,12 @@ def _read(s, quantity, t, j=1):
     """from_phases on the class phase table of the quantity's kind at t: row
     k-1 of start node j for a pair quantity, row 0 for an average."""
     return from_phases(s, quantity, class_phases(s, t, PHASE_KINDS[quantity]), j)
+
+
+def _transitions(s, quantity, t):
+    """The pair tables of every start node at one time t: column j-1 holds
+    the probabilities from start node j."""
+    return np.column_stack([_read(s, quantity, t, j) for j in range(1, s.n + 1)])
 
 
 class TestTimeGrid:
@@ -65,6 +70,19 @@ class TestTimeGrid:
         ts = TimeGrid(0.0, stop, step).times()
         assert len(ts) == count
         assert ts[-1] == pytest.approx(last, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(0, 10_000), st.integers(1, 1000), st.integers(1, 10_000),
+           st.sampled_from([10, 100, 1000]))
+    @example(2, 3, 166, 100)  # 0.02:5:0.03
+    @example(0, 3, 57, 10)  # 0:17.1:0.3
+    def test_on_grid_stop_is_last_point(self, a, b, k, scale):
+        # Decimal bounds, as typed on the command line: stop is k steps past
+        # start, but rounds apart from start + step * k.
+        grid = TimeGrid(a / scale, (a + k * b) / scale, b / scale)
+        ts = grid.times()
+        assert grid.size == ts.size == k + 1
+        assert ts[-1] == grid.stop
 
     @pytest.mark.parametrize("args", [(-1, 1, 0.1), (0, 0, 0.1), (1, 0.5, 0.1), (0, 1, 0)])
     def test_validation(self, args):
@@ -188,17 +206,16 @@ SAMPLE_TIMES = np.array([0.0, 0.25, 1.0, 3.7, 12.0])
 
 
 def _check_pair_table(g, j):
-    """The all-targets table against propagator columns, which sum over raw
-    eigenvalues rather than classes (1e-13), the expm oracle at SAMPLE_TIMES
-    (1e-10), and conservation over targets."""
+    """The all-targets table against the oracle's transition columns, which
+    sum over raw eigenvalues rather than classes (1e-13), the expm oracle at
+    SAMPLE_TIMES (1e-10), and conservation over targets."""
     s = eigendecompose(laplacian(g))
     ts = np.linspace(0.0, 20.0, 201)
     for quantity, kind in (("classical_pair", "classical"), ("quantum_pair", "quantum")):
         table = _read(s, quantity, ts, j)
         assert table.shape == (g.n, ts.size)
         for col, t in enumerate(ts):
-            u = propagator(s, t, kind)[:, j - 1]
-            column = u if kind == "classical" else np.abs(u) ** 2
+            column = transition_matrix(s, t, kind)[:, j - 1]
             assert np.max(np.abs(table[:, col] - column)) <= 1e-13
         assert np.max(np.abs(table.sum(axis=0) - 1.0)) <= 1e-12
         sampled = _read(s, quantity, SAMPLE_TIMES, j)
@@ -264,30 +281,24 @@ class TestSharedPhases:
 class TestTransitionMatrix:
     def test_identity_at_zero(self, family_spectra):
         s = family_spectra["a"]
-        for kind in ("classical", "quantum"):
-            m = transition_matrix(s, 0.0, kind)
-            assert np.max(np.abs(m.entries - np.eye(s.n))) <= 1e-12
+        for quantity in PAIR_QUANTITIES:
+            assert np.max(np.abs(_transitions(s, quantity, 0.0) - np.eye(s.n))) <= 1e-12
 
     def test_classical_equipartition_long_time(self, family_spectra):
-        m = transition_matrix(family_spectra["a"], 1e3, "classical")
-        assert np.max(np.abs(m.entries - 0.1)) <= 1e-6
+        m = _transitions(family_spectra["a"], "classical_pair", 1e3)
+        assert np.max(np.abs(m - 0.1)) <= 1e-6
 
     def test_star_hub_return_dominates(self, family_spectra):
-        m = transition_matrix(family_spectra["e"], 5.0, "quantum")
-        assert m.entries[0, 0] > 0.5
+        assert _transitions(family_spectra["e"], "quantum_pair", 5.0)[0, 0] > 0.5
 
     def test_column_sums(self, family_spectra):
         for s in family_spectra.values():
             for t in (0.1, 1.0, 10.0, 100.0):
-                for kind in ("classical", "quantum"):
-                    m = transition_matrix(s, t, kind)
-                    assert np.max(np.abs(m.entries.sum(axis=0) - 1.0)) <= 1e-9
-                    if kind == "classical":
-                        assert np.min(m.entries) >= -1e-12
-
-    def test_bad_kind(self, k2_spectrum):
-        with pytest.raises(ValueError, match="kind"):
-            transition_matrix(k2_spectrum, 1.0, "semiclassical")
+                for quantity in PAIR_QUANTITIES:
+                    m = _transitions(s, quantity, t)
+                    assert np.max(np.abs(m.sum(axis=0) - 1.0)) <= 1e-9
+                    if quantity == "classical_pair":
+                        assert np.min(m) >= -1e-12
 
 
 class TestLongTimeAverage:
