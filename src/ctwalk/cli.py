@@ -130,8 +130,11 @@ def cmd_evolve(config: RunConfig) -> int:
     approximation are selected they share one file with an extra column, the
     class for the approximation being the one nearest eigenvalue 1.  Each
     phase kind is evaluated once and read by every quantity of that kind, and
-    the time column is formatted once and shared by every file.  A run whose
-    largest table would exceed transport.MAX_TABLE_ENTRIES writes nothing.
+    the time column is formatted once and shared by every file.  A pair
+    table is rendered in blocks of TimeColumn.block_rows rows (about 16 K
+    numbers, a constant of serialize), one render_series call per block.  A
+    run whose largest table would exceed transport.MAX_TABLE_ENTRIES writes
+    nothing.
     """
     g = resolve_graph(config.graph_source)
     if not (1 <= config.start_node <= g.n):
@@ -149,13 +152,16 @@ def cmd_evolve(config: RunConfig) -> int:
 
     written = []
 
-    def emit(quantity: str, names, rows, approx=None) -> None:
-        # The rows arrive as an argument, so a pair table is freed on return,
-        # before the next one is built.
-        for name, values in zip(names, rows):
-            path = config.out_dir / f"{name}.{config.fmt}"
-            _write(path, serialize.render_series(config.fmt, quantity, times, values, approx))
-            written.append(path)
+    def emit(quantity: str, names, table, approx=None) -> None:
+        # The table arrives as an argument, so a pair table is freed on
+        # return, before the next one is built.
+        step = times.block_rows
+        for start in range(0, len(names), step):
+            texts = serialize.render_series(config.fmt, quantity, times, table[start : start + step], approx)
+            for name, text in zip(names[start : start + step], texts):
+                path = config.out_dir / f"{name}.{config.fmt}"
+                _write(path, text)
+                written.append(path)
 
     selected = [q for q in QUANTITIES if q in config.quantities
                 and not (q == "approx_alpha_bar_sq" and co_emit)]

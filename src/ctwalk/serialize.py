@@ -8,9 +8,20 @@ one row of bytes per number, holding exactly the text of ``'%.15g' % x`` with
 NUL bytes in any unused places, which ``bytes.translate`` deletes when the
 table is written out.  Writers lay separators beside the rows and squeeze the
 whole file in one pass.  There is one series serializer, ``render_series``:
-it takes the value column(s) as arrays and the time grid as a
-``TimeColumn``, so a grid shared by several series is formatted once, in
-each format.
+it takes a (rows, T) table of series, one file per row, and the time grid
+as a ``TimeColumn``, so a grid shared by several series is formatted once,
+in each format.
+
+A series table is rendered in row blocks.  ``evolve`` hands
+``render_series`` ``TimeColumn.block_rows`` rows at a time, about
+``_BLOCK_NUMBERS`` (16,384) numbers and at least one row, and the block's
+numbers are checked, clipped and formatted by one ``format_column`` call:
+one call per row would pay that call's fixed cost once per file, and one
+call over the whole table outgrows the cache.  Each row's text table is a
+slice of the block's.  The separators of a file's lines (the time text,
+',' and '\n' in CSV; the indent and ',' of a JSON array) are laid out once
+per block in a line frame, and only each row's value bytes are copied into
+it before the squeeze.
 
 Inputs of fewer than ``_VECTOR_MIN`` numbers are formatted by one
 %-operation over a template with a ``%.15g`` slot per number.  Larger inputs
@@ -73,6 +84,14 @@ _NUMBER = "%.15g"
 # numpy path, whose fixed cost is about 0.2 ms per call; the two cost the
 # same at about 256 numbers on a 2-vCPU Xeon VM (Python 3.11, numpy 2.4).
 _VECTOR_MIN = 256
+
+# A series table is rendered in blocks of about this many numbers, one
+# format_column call each.  The cost per number falls with the call's size
+# while its temporaries stay in cache, and rises again beyond.  On the
+# values of a path:300 pair table (same machine, best of many calls) it was
+# 525 ns at 256 numbers, 146-160 ns at 5001, 123-145 ns from 10,002 to
+# 20,004, and 184 ns at 200,040.
+_BLOCK_NUMBERS = 16384
 
 # Magnitudes the numpy path formats itself (zero aside).  Within the range
 # every double-double term below stays a normal double.
@@ -255,16 +274,17 @@ def _rows_holding(table, char: str) -> np.ndarray:
 
 def _json_tokens(table) -> np.ndarray:
     """The JSON number token of each text of a text table (see the module
-    docstring), as a text table."""
+    docstring), as a text table: the table's width plus two bytes for the
+    ".0" of an integral text, widened to hold a repr only when some text
+    needs one."""
     n, width = table.shape
-    tokens = np.zeros((n, max(width, 24) + 2), np.uint8)
-    tokens[:, :width] = table
     exponent = _rows_holding(table, "e")
     integral = ~exponent & ~_rows_holding(table, ".")
-    tokens[integral, -2:] = np.frombuffer(b".0", np.uint8)
-    # The exponent text follows the 'e': a sign and two or three digits.
+    # The exponent text follows the 'e': a sign and two or three digits,
+    # read with one NUL past the table's end.
     rows = np.flatnonzero(exponent)
-    texts = tokens[rows]
+    texts = np.zeros((rows.size, width + 1), np.uint8)
+    texts[:, :width] = table[rows]
     at = np.argmax(texts == ord("e"), axis=1)
     sign, d1, d2, d3 = np.take_along_axis(texts, at[:, None] + np.arange(1, 5), axis=1).T.astype(int)
     three = d3 != 0
@@ -273,6 +293,9 @@ def _json_tokens(table) -> np.ndarray:
     from_minus_308 = (sign == ord("-")) & three & (power >= 308)
     # Those, and inf and nan, go through repr.
     odd = np.union1d(rows[plus_15 | from_minus_308], np.flatnonzero(_rows_holding(table, "n")))
+    tokens = np.zeros((n, (max(width, 24) if odd.size else width) + 2), np.uint8)
+    tokens[:, :width] = table
+    tokens[integral, -2:] = np.frombuffer(b".0", np.uint8)
     if odd.size:
         reprs = _text_rows([_repr_token(text) for text in _texts(table[odd])])
         tokens[odd] = 0
@@ -300,13 +323,18 @@ def _json_array(items: list[str], indent: str) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
 
 
-def _json_number_array(table, indent: str) -> str:
-    """_json_array of the tokens of a text table, joined in one pass."""
-    if not len(table):
-        return "[]"
-    inner = "\n" + indent + "  "
-    body = _squeeze([_bytes(inner, len(table)), _json_tokens(table), _bytes(",", len(table))])
-    return "[" + body[:-1] + "\n" + indent + "]"
+def _json_number_arrays(tokens, count: int, indent: str) -> list[str]:
+    """_json_array of the tokens of each of count equal runs of rows of a
+    token table, in one line frame (see _framed)."""
+    n = len(tokens) // count if count else 0
+    if not n:
+        return ["[]"] * count
+    inner = np.frombuffer(("\n" + indent + "  ").encode(), np.uint8)
+    frame = np.empty((n, inner.size + tokens.shape[1] + 1), np.uint8)
+    frame[:, : inner.size] = inner
+    frame[:, -1] = ord(",")
+    bodies = _framed(frame, slice(inner.size, -1), tokens.reshape(count, n, tokens.shape[1]))
+    return ["[" + body[:-1] + "\n" + indent + "]" for body in bodies]
 
 
 def _json_object(fields: dict) -> str:
@@ -314,6 +342,16 @@ def _json_object(fields: dict) -> str:
     writes it, with a final newline."""
     members = [f"  {json.dumps(key)}: {value}" for key, value in fields.items()]
     return "{\n" + ",\n".join(members) + "\n}\n"
+
+
+def _framed(frame, slot: slice, tables) -> list[str]:
+    """The text of a frame, a text table whose separators are laid out once,
+    with each table in turn copied into the slot's columns, NULs removed."""
+    texts = []
+    for table in tables:
+        frame[:, slot] = table
+        texts.append(frame.tobytes().translate(None, b"\0").decode("ascii"))
+    return texts
 
 
 class TimeColumn:
@@ -326,42 +364,68 @@ class TimeColumn:
     def __len__(self) -> int:
         return len(self.table)
 
+    @property
+    def block_rows(self) -> int:
+        """The rows of a value table on this grid that render_series is
+        given at once: _BLOCK_NUMBERS numbers, and at least one row."""
+        return max(1, _BLOCK_NUMBERS // max(len(self), 1))
+
     @functools.cached_property
     def json_array(self) -> str:
-        return _json_number_array(self.table, "  ")
+        return _json_number_arrays(_json_tokens(self.table), 1, "  ")[0]
 
 
-def render_series(fmt: str, quantity: str, times: TimeColumn, values, approx=None) -> str:
-    """One series file ('csv' or 'json') on a time grid already formatted as
-    a TimeColumn: a 't,value' table, or 't,value,approx' when the
-    approximation column is given.  Values tagged as probabilities are
+def render_series(fmt: str, quantity: str, times: TimeColumn, table, approx=None) -> list[str]:
+    """The series files ('csv' or 'json') of the rows of a (rows, T) value
+    table on a time grid already formatted as a TimeColumn, one text per
+    row: a 't,value' table, or 't,value,approx' when the approximation
+    column of a one-row table is given.  Values tagged as probabilities are
     clipped; the approximation column is written as given.  A non-finite
-    value in either column is rejected."""
+    value in either is rejected.
+
+    The table is checked and formatted as one block, in one format_column
+    call, and each row's text is a slice of the block's text table; a
+    caller with many rows passes them times.block_rows at a time."""
     n = len(times)
-    columns = [values] if approx is None else [values, approx]
-    if any(np.shape(c) != (n,) for c in columns):
-        raise ValueError("series columns must match the time column")
-    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    if not np.isfinite(table).all():
+    values = np.asarray(table, dtype=float)
+    if values.ndim != 2 or values.shape[1] != n:
+        raise ValueError("series rows must match the time column")
+    rows = len(values)
+    if approx is not None:
+        if rows != 1 or np.shape(approx) != (n,):
+            raise ValueError("an approximation column goes with one series row and must match the time column")
+        approx = np.asarray(approx, dtype=float)
+    if not np.isfinite(values).all() or (approx is not None and not np.isfinite(approx).all()):
         raise ValueError(f"{quantity}: series values must be finite")
     if quantity != "approx_alpha_bar_sq":
-        table[:, 0] = np.clip(table[:, 0], 0.0, 1.0)
+        values = np.clip(values, 0.0, 1.0)
+    texts = format_column(values if approx is None else np.vstack([values, approx]))
+    columns = 1 if approx is None else 2
     if fmt == "csv":
-        text = "t,value\n" if approx is None else "t,value,approx\n"
-        if n:
-            parts = [times.table]
-            for column in table.T:
-                parts += [_bytes(",", n), format_column(column)]
-            text += _squeeze(parts + [_bytes("\n", n)])
-        return text
+        header = "t,value\n" if approx is None else "t,value,approx\n"
+        if not n:
+            return [header] * rows
+        # One line frame: the time text, then ',' and a value slot per
+        # column, then '\n'.  The approximation column is copied in once.
+        time_width, width = times.table.shape[1], texts.shape[1]
+        frame = np.empty((n, time_width + columns * (width + 1) + 1), np.uint8)
+        frame[:, :time_width] = times.table
+        frame[:, time_width :: width + 1] = ord(",")
+        frame[:, -1] = ord("\n")
+        value = slice(time_width + 1, time_width + 1 + width)
+        if approx is not None:
+            frame[:, value.stop + 1 : -1] = texts[n:]
+        return [header + text for text in _framed(frame, value, texts[: rows * n].reshape(rows, n, width))]
     if fmt == "json":
-        fields = {
-            "quantity": json.dumps(quantity),
-            "times": times.json_array,
-        }
-        for key, column in zip(("values", "approx"), table.T):
-            fields[key] = _json_number_array(format_column(column), "  ")
-        return _json_object(fields)
+        arrays = _json_number_arrays(_json_tokens(texts), rows + columns - 1, "  ")
+        fields = {"quantity": json.dumps(quantity), "times": times.json_array, "values": None}
+        if approx is not None:
+            fields["approx"] = arrays.pop()
+        files = []
+        for array in arrays:
+            fields["values"] = array
+            files.append(_json_object(fields))
+        return files
     raise ValueError(f"fmt must be 'csv' or 'json', got {fmt!r}")
 
 

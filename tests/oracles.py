@@ -65,3 +65,35 @@ def transition_matrix(s, t: float, kind: str) -> np.ndarray:
     [k-1, j-1] is target node k from start node j."""
     u = propagator(s, t, kind)
     return u if kind == "classical" else np.abs(u) ** 2
+
+
+_PRIME = 2**31 - 1
+
+
+def unit_multiplicity(laplacian) -> int:
+    """n - rank(L - I), the multiplicity of the Laplacian eigenvalue 1, by
+    Gaussian elimination on the integer matrix mod the prime 2^31 - 1 in
+    Python integers, with no rounding anywhere.
+
+    A rank mod p is never above the rank over the rationals, and falls below
+    it only when p divides every nonzero maximal minor, so the value is the
+    exact multiplicity or, in that unlikely case, above it."""
+    rows = [[int(x) % _PRIME for x in row] for row in np.asarray(laplacian)]
+    n = len(rows)
+    for i in range(n):
+        rows[i][i] = (rows[i][i] - 1) % _PRIME
+    rank = 0
+    for col in range(n):
+        pivot = next((r for r in range(rank, n) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inverse = pow(rows[rank][col], -1, _PRIME)
+        top = [x * inverse % _PRIME for x in rows[rank]]
+        rows[rank] = top
+        for r in range(rank + 1, n):
+            factor = rows[r][col]
+            if factor:
+                rows[r] = [(x - factor * y) % _PRIME for x, y in zip(rows[r], top)]
+        rank += 1
+    return n - rank

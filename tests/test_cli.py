@@ -196,23 +196,58 @@ class TestEvolve:
         assert code == 0
         assert evaluated == kinds
 
-    @pytest.mark.parametrize("graph, times", [("path:300", "0:50:0.05"), ("star:40", "0:50:0.01")])
-    def test_pair_files_match_fstring(self, tmp_path, capsys, graph, times):
+    # render_series gets a pair table in blocks of times.block_rows rows:
+    # star:40 on 5001 points is 3 rows a block with a last block of 1,
+    # path:300 on 1001 points 16 a block with a last block of 12, and a
+    # path:8 row of 20001 points is longer than a block, so 1 row a block.
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("graph, times", [
+        ("path:300", "0:50:0.05"), ("star:40", "0:50:0.01"), ("path:8", "0:200:0.01"),
+    ])
+    def test_pair_files_match_fstring(self, tmp_path, capsys, graph, times, fmt):
         code, _, _ = run(
             capsys,
-            "evolve", "--graph", graph, "--times", times, "--start-node", "2",
+            "evolve", "--graph", graph, "--times", times, "--start-node", "2", "--format", fmt,
             "--quantities", "classical_pair,quantum_pair", "--out", str(tmp_path),
         )
         assert code == 0
         kind, _, rest = graph.partition(":")
         s = eigendecompose(laplacian({"path": gen_path, "star": gen_star}[kind](int(rest))))
         ts = parse_times(times).times()
+        rounded_ts = [float(f"{t:.15g}") for t in ts]
         for quantity in ("classical_pair", "quantum_pair"):
             phases = transport.class_phases(s, ts, PHASE_KINDS[quantity])
             table = np.clip(transport.from_phases(s, quantity, phases, 2), 0.0, 1.0)
             for k, values in enumerate(table, start=1):
-                expected = "t,value\n" + "".join(f"{t:.15g},{x:.15g}\n" for t, x in zip(ts, values))
-                assert (tmp_path / f"{quantity}_k{k}_j2.csv").read_text() == expected
+                if fmt == "csv":
+                    expected = "t,value\n" + "".join(f"{t:.15g},{x:.15g}\n" for t, x in zip(ts, values))
+                else:
+                    expected = json.dumps({
+                        "quantity": quantity, "times": rounded_ts,
+                        "values": [float(f"{x:.15g}") for x in values],
+                    }, indent=2) + "\n"
+                assert (tmp_path / f"{quantity}_k{k}_j2.{fmt}").read_text() == expected
+
+    @pytest.mark.parametrize("graph, times, quantities, blocks", [
+        ("star:40", "0:50:0.01", "quantum_pair", [3] * 13 + [1]),
+        ("path:300", "0:50:0.05", "quantum_pair", [16] * 18 + [12]),
+        ("path:8", "0:200:0.01", "quantum_pair", [1] * 8),
+        ("family:a", "0:50:0.01", "quantum_avg_return,alpha_bar_sq,approx_alpha_bar_sq", [1, 1]),
+    ])
+    def test_render_series_once_per_block(self, tmp_path, capsys, monkeypatch, graph, times, quantities, blocks):
+        rows = []
+        render = cli.serialize.render_series
+
+        def spy(fmt, quantity, times, table, approx=None):
+            rows.append(len(table))
+            return render(fmt, quantity, times, table, approx)
+
+        monkeypatch.setattr(cli.serialize, "render_series", spy)
+        code, _, _ = run(capsys, "evolve", "--graph", graph, "--times", times,
+                         "--quantities", quantities, "--out", str(tmp_path))
+        assert code == 0
+        assert rows == blocks
+        assert len(list(tmp_path.iterdir())) == sum(blocks)
 
     def test_oversized_grid_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "out"

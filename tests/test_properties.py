@@ -7,11 +7,12 @@ not move it.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctwalk.graphs import from_edge_list, laplacian
-from ctwalk.spectral import Spectrum, eigendecompose
+from ctwalk.graphs import from_edge_list, gen_broom, gen_star, laplacian
+from ctwalk.spectral import Spectrum, eigendecompose, symmetry_degree
 from ctwalk.transport import (
     PHASE_KINDS,
     chi_bar,
@@ -20,6 +21,8 @@ from ctwalk.transport import (
     from_phases,
     lta_matrix,
 )
+
+from oracles import unit_multiplicity
 
 TIMES = np.array([0.0, 0.3, 1.7, 4.0, 25.0])
 
@@ -33,10 +36,11 @@ PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
 
 @st.composite
-def connected_graphs(draw, extra_edges=True):
-    """A random tree (node v joins a drawn parent < v), plus drawn extra
-    edges when extra_edges is set; always connected."""
-    n = draw(st.integers(2, 40))
+def connected_graphs(draw, extra_edges=True, max_n=40):
+    """A random tree (node v joins a drawn parent < v) of at most max_n
+    nodes, plus drawn extra edges when extra_edges is set; always
+    connected."""
+    n = draw(st.integers(2, max_n))
     pairs = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
     if extra_edges:
         node = st.integers(1, n)
@@ -106,3 +110,24 @@ def test_return_series_read_one_partition(g):
         returns = [_read(s, quantity, j)[j - 1] for j in range(1, s.n + 1)]
         assert np.max(np.abs(np.mean(returns, axis=0) - _read(s, average)[0])) <= 1e-13
     assert np.all(_read(s, "quantum_avg_return")[0] >= _read(s, "alpha_bar_sq")[0] - 1e-15)
+
+
+@PROPERTY_SETTINGS
+@given(connected_graphs(extra_edges=False, max_n=60))
+def test_symmetry_degree_is_exact_multiplicity(g):
+    # D_l is the multiplicity of eigenvalue 1 when it is degenerate, and 0
+    # for a simple or absent eigenvalue 1.
+    multiplicity = unit_multiplicity(laplacian(g))
+    assert symmetry_degree(eigendecompose(laplacian(g))) == (multiplicity if multiplicity > 1 else 0)
+
+
+@pytest.mark.parametrize("n", [3, 4, 10, 40, 64])
+def test_star_unit_multiplicity(n):
+    assert unit_multiplicity(laplacian(gen_star(n))) == n - 2
+
+
+@pytest.mark.parametrize("p, k", [(1, 2), (2, 3), (5, 5), (20, 12), (24, 24), (7, 1)])
+def test_broom_unit_multiplicity(p, k):
+    multiplicity = unit_multiplicity(laplacian(gen_broom(p, k)))
+    assert multiplicity >= k - 1
+    assert symmetry_degree(eigendecompose(laplacian(gen_broom(p, k)))) == (multiplicity if multiplicity > 1 else 0)

@@ -72,11 +72,11 @@ class TestNumbers:
     def test_non_finite_series_columns_rejected(self, fmt, bad):
         times = TimeColumn([0.0, 1.0])
         with pytest.raises(ValueError, match="finite"):
-            render_series(fmt, "alpha_bar_sq", times, np.array([1.0, 0.5]), np.array([0.9, bad]))
+            render_series(fmt, "alpha_bar_sq", times, np.array([[1.0, 0.5]]), np.array([0.9, bad]))
         with pytest.raises(ValueError, match="finite"):
-            render_series(fmt, "approx_alpha_bar_sq", times, np.array([bad, 0.5]))
+            render_series(fmt, "approx_alpha_bar_sq", times, np.array([[bad, 0.5]]))
         with pytest.raises(ValueError, match="finite"):
-            render_series(fmt, "quantum_pair", times, np.array([bad, 0.5]))
+            render_series(fmt, "quantum_pair", times, np.array([[0.5, 0.5], [bad, 0.5]]))
 
 
 EDGE_VALUES = [0.0, 1.0, -0.0, 5e-324, 1e-5, 0.1 + 0.2, 1e16, 1 / 3, 2.5e-7, 123456789012345.6,
@@ -104,11 +104,11 @@ def _reference(obj):
 
 
 def _csv(ser, approx=None):
-    return render_series("csv", ser.quantity, TimeColumn(ser.times), ser.values, approx)
+    return render_series("csv", ser.quantity, TimeColumn(ser.times), [ser.values], approx)[0]
 
 
 def _json(ser, approx=None):
-    return render_series("json", ser.quantity, TimeColumn(ser.times), ser.values, approx)
+    return render_series("json", ser.quantity, TimeColumn(ser.times), [ser.values], approx)[0]
 
 
 def _fstring_csv(header, *columns):
@@ -145,17 +145,21 @@ class TestOneShotFormatter:
         ts = np.linspace(0.0, 3.0, 31)
         text = TimeColumn(ts)
         for values in (np.cos(ts) ** 2, np.sin(ts) ** 2):
-            csv = render_series("csv", "quantum_pair", text, values)
+            [csv] = render_series("csv", "quantum_pair", text, [values])
             assert csv == _fstring_csv("t,value", ts, values)
-            obj = json.loads(render_series("json", "quantum_pair", text, values))
+            obj = json.loads(render_series("json", "quantum_pair", text, [values])[0])
             assert obj["times"] == [float(f"{t:.15g}") for t in ts]
             assert obj["values"] == [float(f"{x:.15g}") for x in values]
 
     def test_render_validation(self):
         with pytest.raises(ValueError, match="time column"):
-            render_series("csv", "quantum_pair", TimeColumn([0.0, 1.0]), np.array([0.5]))
+            render_series("csv", "quantum_pair", TimeColumn([0.0, 1.0]), np.array([[0.5]]))
+        with pytest.raises(ValueError, match="time column"):
+            render_series("csv", "quantum_pair", TimeColumn([0.0, 1.0]), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="one series row"):
+            render_series("csv", "alpha_bar_sq", TimeColumn([0.0]), np.array([[0.5], [0.5]]), np.array([0.5]))
         with pytest.raises(ValueError, match="fmt"):
-            render_series("xml", "quantum_pair", TimeColumn([0.0]), np.array([0.5]))
+            render_series("xml", "quantum_pair", TimeColumn([0.0]), np.array([[0.5]]))
 
     def test_json_values_are_rounded_floats(self):
         values = np.array([0.1 + 0.2, 1 / 3, 1e-5])
@@ -221,7 +225,7 @@ class TestVectorisedFormatter:
     def test_matches_fstring(self, values):
         assert values.size >= serialize._VECTOR_MIN
         assert format_numbers(values) == [f"{x:.15g}" for x in values]
-        obj = json.loads(render_series("json", "approx_alpha_bar_sq", TimeColumn(values), values))
+        obj = json.loads(render_series("json", "approx_alpha_bar_sq", TimeColumn(values), [values])[0])
         assert obj["values"] == _rounded(values)
 
     def test_ties_are_ties(self):
@@ -247,17 +251,17 @@ class TestVectorisedFormatter:
         approx = np.cos(ts) * np.exp(-ts) - 1e-9 * ts  # to -5e-08, with exponent texts
         values = np.clip(np.abs(approx), 0.0, 1.0)
         if with_approx:
-            args = ("alpha_bar_sq", TimeColumn(ts), values, approx)
+            args = ("alpha_bar_sq", TimeColumn(ts), [values], approx)
             csv = _fstring_csv("t,value,approx", ts, values, approx)
             obj = {"quantity": "alpha_bar_sq", "times": _rounded(ts), "values": _rounded(values),
                    "approx": _rounded(approx)}
         else:
-            args = ("approx_alpha_bar_sq", TimeColumn(ts), approx)
+            args = ("approx_alpha_bar_sq", TimeColumn(ts), [approx])
             csv = _fstring_csv("t,value", ts, approx)
             obj = {"quantity": "approx_alpha_bar_sq", "times": _rounded(ts), "values": _rounded(approx)}
         assert (approx < 0).any()
-        assert render_series("csv", *args) == csv
-        assert render_series("json", *args) == _reference(obj)
+        assert render_series("csv", *args) == [csv]
+        assert render_series("json", *args) == [_reference(obj)]
 
 
 class TestJsonWriter:
@@ -271,24 +275,24 @@ class TestJsonWriter:
         times, values = self.VALUES, self.VALUES[::-1]
         if with_approx:
             probs = np.clip(np.abs(values), 0.0, 1.0)
-            out = render_series("json", "alpha_bar_sq", TimeColumn(times), probs, values)
+            [out] = render_series("json", "alpha_bar_sq", TimeColumn(times), [probs], values)
             obj = {"quantity": "alpha_bar_sq", "times": _rounded(times),
                    "values": _rounded(probs), "approx": _rounded(values)}
         else:
-            out = render_series("json", "approx_alpha_bar_sq", TimeColumn(times), values)
+            [out] = render_series("json", "approx_alpha_bar_sq", TimeColumn(times), [values])
             obj = {"quantity": "approx_alpha_bar_sq", "times": _rounded(times),
                    "values": _rounded(values)}
         assert out == _reference(obj)
 
     def test_series_clips_probabilities_like_csv(self):
         times = np.arange(len(self.VALUES), dtype=float)
-        out = render_series("json", "quantum_pair", TimeColumn(times), self.VALUES)
+        [out] = render_series("json", "quantum_pair", TimeColumn(times), [self.VALUES])
         clipped = np.clip(self.VALUES, 0.0, 1.0)
         assert out == _reference({"quantity": "quantum_pair", "times": _rounded(times),
                                   "values": _rounded(clipped)})
 
     def test_empty_series(self):
-        out = render_series("json", "alpha_bar_sq", TimeColumn([]), np.array([]))
+        [out] = render_series("json", "alpha_bar_sq", TimeColumn([]), np.zeros((1, 0)))
         assert out == _reference({"quantity": "alpha_bar_sq", "times": [], "values": []})
 
     @pytest.mark.parametrize("time", [None, 0.0, 2.5, 1e15, 1.2345e15, 1e16, 5e-324])
@@ -326,6 +330,15 @@ class TestJsonWriter:
             padded[:, :width] = table
             assert serialize._texts(serialize._json_tokens(padded)) == expected
 
+    def test_token_width_without_repr(self):
+        """Tokens are the text table's width plus two bytes for ".0", and
+        widen to hold a repr only when some text goes through one."""
+        for values in (np.linspace(0.0, 50.0, 5001), [1.0, 0.5, 1e-05, 1e16]):
+            table = serialize.format_column(values)
+            assert serialize._json_tokens(table).shape[1] == table.shape[1] + 2
+        table = serialize.format_column([1.0, 1e15])
+        assert serialize._json_tokens(table).shape[1] == max(table.shape[1], 24) + 2
+
     @pytest.mark.parametrize("value", JSON_EDGE_VALUES)
     def test_report_matches_json_dumps(self, value):
         report = EfficiencyReport(
@@ -338,6 +351,36 @@ class TestJsonWriter:
             if isinstance(field, float):
                 obj[key] = _rounded(field)[0]
         assert report_to_json(report) == _reference(obj)
+
+
+class TestBlockRendering:
+    """render_series formats a table of rows as one block; each row's file
+    is the file that row gives on its own."""
+
+    def test_block_rows(self):
+        assert TimeColumn(np.arange(5001.0)).block_rows == 3
+        assert TimeColumn(np.arange(1001.0)).block_rows == 16
+        assert TimeColumn(np.arange(20001.0)).block_rows == 1
+        assert TimeColumn([]).block_rows == serialize._BLOCK_NUMBERS
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("quantity", ["quantum_pair", "approx_alpha_bar_sq"])
+    def test_block_matches_rows_alone(self, fmt, quantity):
+        # Rows whose own text tables differ in width: short decimals, full
+        # 15-digit texts, exponents down to subnormals (repr tokens), values
+        # outside [0, 1], and the e+15 texts that JSON writes in full.
+        ts = np.linspace(0.0, 3.0, 300)
+        table = np.array([
+            np.full(300, 0.5),
+            np.cos(ts) ** 2,
+            10.0 ** -np.linspace(1.0, 323.0, 300),
+            np.linspace(-2.0, 1e15, 300),
+        ])
+        files = render_series(fmt, quantity, TimeColumn(ts), table)
+        assert files == [render_series(fmt, quantity, TimeColumn(ts), [row])[0] for row in table]
+        assert render_series(fmt, quantity, TimeColumn(ts), table[:0]) == []
+        if fmt == "csv" and quantity == "quantum_pair":
+            assert files[3] == _fstring_csv("t,value", ts, np.clip(table[3], 0.0, 1.0))
 
 
 class TestSeriesExport:
