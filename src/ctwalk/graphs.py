@@ -11,6 +11,7 @@ point enters only at eigendecomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -40,11 +41,30 @@ class Graph:
 
     def degrees(self) -> np.ndarray:
         """Degree of each node, index 0 holding node 1."""
-        deg = np.zeros(self.n, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u - 1] += 1
-            deg[v - 1] += 1
-        return deg
+        return np.bincount(_edge_index(self).ravel(), minlength=self.n).astype(np.int64, copy=False)
+
+
+def _edge_index(g: Graph) -> np.ndarray:
+    """The edges as a (q, 2) int64 array of 0-based node indices."""
+    return np.fromiter(chain.from_iterable(g.edges), np.int64, 2 * g.q).reshape(g.q, 2) - 1
+
+
+def _labels(values) -> np.ndarray:
+    """Node labels as an int64 array, or as Python ints in an object array
+    when one is beyond int64, which the range check then rejects."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _pairs(u, v: np.ndarray) -> np.ndarray:
+    """The (m, 2) array of (u, v) pairs of a label array v and labels u, an
+    array like v or one label for every pair."""
+    e = np.empty((v.size, 2), dtype=np.int64)
+    e[:, 0] = u
+    e[:, 1] = v
+    return e
 
 
 def check_node_count(n) -> None:
@@ -57,22 +77,27 @@ def check_node_count(n) -> None:
 
 
 def from_edge_list(n: int, pairs) -> Graph:
-    """Build a Graph from 1-based (u, v) pairs.
+    """Build a Graph from 1-based (u, v) pairs, a sequence of pairs or an
+    (m, 2) array.
 
     Rejects self-loops, out-of-range labels and node counts that
-    check_node_count rejects; duplicate edges (in either orientation) are
-    merged silently.
+    check_node_count rejects, naming the first edge that fails; duplicate
+    edges (in either orientation) are merged silently.
     """
     check_node_count(n)
-    edges = set()
-    for u, v in pairs:
-        u, v = int(u), int(v)
+    e = _labels(pairs)
+    if e.size == 0:
+        e = e.reshape(0, 2)
+    if e.ndim != 2 or e.shape[1] != 2:
+        raise ValueError("edges must be (u, v) pairs")
+    lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
+    bad = (lo == hi) | (lo < 1) | (hi > n)
+    if bad.any():
+        u, v = e[bad.argmax()].tolist()
         if u == v:
             raise ValueError(f"self-loop ({u},{v}) is not allowed")
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise ValueError(f"edge ({u},{v}) out of range 1..{n}")
-        edges.add((min(u, v), max(u, v)))
-    return Graph(n=int(n), edges=frozenset(edges))
+        raise ValueError(f"edge ({u},{v}) out of range 1..{n}")
+    return Graph(n=int(n), edges=frozenset(zip(lo.tolist(), hi.tolist())))
 
 
 def gen_path(n: int) -> Graph:
@@ -80,7 +105,7 @@ def gen_path(n: int) -> Graph:
     if n < 2:
         raise ValueError("path needs n >= 2")
     check_node_count(n)
-    return from_edge_list(n, [(i, i + 1) for i in range(1, n)])
+    return from_edge_list(n, _pairs(np.arange(1, n), np.arange(2, n + 1)))
 
 
 def gen_star(n: int) -> Graph:
@@ -88,7 +113,7 @@ def gen_star(n: int) -> Graph:
     if n < 2:
         raise ValueError("star needs n >= 2")
     check_node_count(n)
-    return from_edge_list(n, [(1, i) for i in range(2, n + 1)])
+    return from_edge_list(n, _pairs(1, np.arange(2, n + 1)))
 
 
 def gen_cycle(n: int) -> Graph:
@@ -96,7 +121,8 @@ def gen_cycle(n: int) -> Graph:
     if n < 2:
         raise ValueError("cycle needs n >= 2")
     check_node_count(n)
-    return from_edge_list(n, [(i, i + 1) for i in range(1, n)] + [(1, n)])
+    u = np.arange(1, n + 1)
+    return from_edge_list(n, _pairs(u, u % n + 1))
 
 
 def gen_broom(path_len: int, leaf_count: int) -> Graph:
@@ -112,9 +138,9 @@ def gen_broom(path_len: int, leaf_count: int) -> Graph:
         raise ValueError("broom needs leaf_count >= 0")
     n = path_len + leaf_count
     check_node_count(n)
-    pairs = [(i, i + 1) for i in range(1, path_len)]
-    pairs += [(path_len, path_len + j) for j in range(1, leaf_count + 1)]
-    return from_edge_list(n, pairs)
+    # Node v > 1 hangs from v - 1 on the handle (v <= path_len), else from path_len.
+    v = np.arange(2, n + 1)
+    return from_edge_list(n, _pairs(np.minimum(v - 1, path_len), v))
 
 
 def gen_family(label: str) -> Graph:
@@ -145,13 +171,18 @@ def gen_family(label: str) -> Graph:
     raise ValueError(f"unknown family label {label!r}; expected one of {FAMILY_LABELS}")
 
 
+def _edge_matrix(n: int, index: np.ndarray, value: int) -> np.ndarray:
+    """An int64 n x n matrix holding value at [i, j] and [j, i] for each
+    edge [i, j] of the index array, and 0 elsewhere."""
+    m = np.zeros((n, n), dtype=np.int64)
+    m[index[:, 0], index[:, 1]] = m[index[:, 1], index[:, 0]] = value
+    return m
+
+
 def adjacency(g: Graph) -> np.ndarray:
     """Read-only int64 n x n 0/1 matrix; entry [i, j] belongs to node pair
     (i+1, j+1)."""
-    a = np.zeros((g.n, g.n), dtype=np.int64)
-    for u, v in g.edges:
-        a[u - 1, v - 1] = 1
-        a[v - 1, u - 1] = 1
+    a = _edge_matrix(g.n, _edge_index(g), 1)
     a.setflags(write=False)
     return a
 
@@ -159,8 +190,9 @@ def adjacency(g: Graph) -> np.ndarray:
 def laplacian(g: Graph) -> np.ndarray:
     """L = Z - A as a read-only int64 n x n matrix: degrees on the diagonal,
     -1 per edge; every row sums to 0 exactly (integer arithmetic)."""
-    m = -adjacency(g)
-    m[np.diag_indices(g.n)] = g.degrees()
+    index = _edge_index(g)
+    m = _edge_matrix(g.n, index, -1)
+    m.flat[:: g.n + 1] = np.bincount(index.ravel(), minlength=g.n)
     m.setflags(write=False)
     return m
 
@@ -192,26 +224,35 @@ def format_edge_list(g: Graph) -> str:
 
 def parse_edge_list(text: str) -> Graph:
     """Inverse of format_edge_list.  Blank lines and lines starting with '#'
-    are ignored; the first data line must be the 'n <count>' header."""
+    are ignored; the first data line must be the 'n <count>' header.  A
+    malformed line, a count or a label that is not an integer included, is
+    a ValueError naming the line."""
     n = None
-    pairs = []
+    labels = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = line.split()
         if n is None:
             if len(tokens) != 2 or tokens[0] != "n":
-                raise ValueError(f"line {lineno}: expected header 'n <count>', got {line!r}")
-            n = int(tokens[1])
+                raise ValueError(f"line {lineno}: expected header 'n <count>', got {raw.strip()!r}")
+            try:
+                n = int(tokens[1])
+            except ValueError:
+                raise ValueError(
+                    f"line {lineno}: expected header 'n <count>' with an integer count, got {raw.strip()!r}"
+                ) from None
             check_node_count(n)
             continue
         if len(tokens) != 2:
-            raise ValueError(f"line {lineno}: expected 'u v', got {line!r}")
-        pairs.append((int(tokens[0]), int(tokens[1])))
+            raise ValueError(f"line {lineno}: expected 'u v', got {raw.strip()!r}")
+        try:
+            labels += map(int, tokens)
+        except ValueError:
+            raise ValueError(f"line {lineno}: expected integer labels 'u v', got {raw.strip()!r}") from None
     if n is None:
         raise ValueError("empty edge list: missing 'n <count>' header")
-    return from_edge_list(n, pairs)
+    return from_edge_list(n, _labels(labels).reshape(-1, 2))
 
 
 def read_edge_list(path) -> Graph:

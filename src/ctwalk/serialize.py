@@ -39,6 +39,8 @@ are formatted in numpy, with the same bytes:
   trailing-zeros-as-NUL version, and are laid out as %.15g lays them out:
   fixed notation for -4 <= E < 15, exponent notation otherwise, trailing
   fraction zeros and a bare point dropped, a '-' sign, and "0" and "-0".
+* Each step writes over or drops the arrays it no longer needs, so that a
+  call holds about 90 bytes of temporaries per number at its peak.
 * A number is formatted by ``'%.15g' % x`` instead when the remainder is
   within ``_TIE_MARGIN`` of one half (ties such as 19661 * 2**-16 and
   near-ties), when log10 was one off and the product fell outside
@@ -48,8 +50,9 @@ are formatted in numpy, with the same bytes:
 
 JSON is written in the layout of ``json.dumps(obj, indent=2)``, keys in a
 fixed order, and each JSON number is the token ``json.dumps`` writes for the
-float that the ``%.15g`` text parses back to, derived from the text table by
-one rule, ``_json_tokens``.  A decimal of at most 15 significant digits
+float that the ``%.15g`` text parses back to, derived from the text by one
+rule: from the text table by ``_json_tokens``, and text by text in Python
+below ``_VECTOR_MIN`` numbers.  A decimal of at most 15 significant digits
 survives the round trip through a double, so a text with a decimal point and
 no exponent is that token already.  Every other text is written as
 ``repr(float(text))``: an integral text gains ".0" ("1" -> "1.0", "-0" ->
@@ -71,7 +74,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import asdict
+from dataclasses import fields
 
 import numpy as np
 
@@ -166,27 +169,68 @@ def _powers_of_ten() -> tuple[np.ndarray, ...]:
 
 def _digits_and_exponent(x):
     """D, E (see the module docstring) of each value, zero for zeros, and a
-    mask of the values left to %-formatting."""
-    ax = np.abs(x)
-    own = (ax >= _LOW) & (ax <= _HIGH)
-    a = np.where(own, ax, 1.0)
-    e = np.floor(np.log10(a)).astype(np.int64)
-    hi, hi_high, hi_low, lo = (np.take(t, 14 - e - _K_MIN) for t in _powers_of_ten())
-    c = a * _SPLITTER
-    a_high = c - (c - a)
-    a_low = a - a_high
+    mask of the values left to %-formatting.  The arithmetic is the module
+    docstring's, term by term in its order, with each temporary written over
+    or dropped once used."""
+    a = np.abs(x)
+    left = ~((a >= _LOW) & (a <= _HIGH))  # NaN included
+    unsure = left & (a != 0)
+    a[left] = 1.0
+    e = np.log10(a)
+    np.floor(e, out=e)
+    e = e.astype(np.int64)
+    hi, hi_high, hi_low, lo = (np.take(t, (14 - _K_MIN) - e) for t in _powers_of_ten())
     p = a * hi
-    err = ((a_high * hi_high - p) + a_high * hi_low + a_low * hi_high) + a_low * hi_low
+    del hi
+    # Dekker's split a = a_high + a_low, then the error of p,
+    # ((a_high hi_high - p) + a_high hi_low + a_low hi_high) + a_low hi_low.
+    a_high = a * _SPLITTER
+    a_low = a_high - a
+    a_high -= a_low
+    np.subtract(a, a_high, out=a_low)
+    err = a_high * hi_high
+    err -= p
+    a_high *= hi_low
+    err += a_high
+    hi_high *= a_low
+    err += hi_high
+    hi_low *= a_low
+    err += hi_low
+    del a_high, a_low, hi_high, hi_low
+    lo *= a
+    err += lo
+    del lo, a
     fl = np.floor(p)
-    r = (p - fl) + (err + a * lo)
+    r = p  # r = (p - fl) + (err + a lo), in p's place
+    r -= fl
+    r += err
+    del err
     # log10 can be one off just beside a power of ten; the product then lies
     # outside [1e14, 1e15), and such values go to %-formatting with the ties.
-    unsure = (np.abs(r - 0.5) <= _TIE_MARGIN) | (fl >= 1e15) | ((fl - 1e14) + r < 0)
-    d = fl.astype(np.int64) + (r > 0.5)
+    t = r - 0.5
+    own_unsure = np.abs(t, out=t) <= _TIE_MARGIN
+    own_unsure |= fl >= 1e15
+    np.subtract(fl, 1e14, out=t)
+    t += r
+    own_unsure |= t < 0
+    del t
+    d = fl.astype(np.int64)
+    del fl
+    d += r > 0.5
+    del r
     carry = d == 10**15
     d[carry] = 10**14
     e += carry
-    return np.where(own, d, 0), np.where(own, e, 0), np.where(own, unsure, ax != 0)
+    d[left] = 0
+    e[left] = 0
+    own_unsure &= ~left
+    unsure |= own_unsure
+    return d, e, unsure
+
+
+def _percent_texts(x: np.ndarray) -> list[str]:
+    """The %.15g text of each value of a 1-d array, by one %-operation."""
+    return ((_NUMBER + "\n") * x.size % tuple(x.tolist())).split("\n")[:-1]
 
 
 def _text_rows(texts) -> np.ndarray:
@@ -200,47 +244,62 @@ def format_column(values) -> np.ndarray:
     docstring)."""
     x = np.asarray(values, dtype=float).ravel()
     if x.size < _VECTOR_MIN:
-        return _text_rows(((_NUMBER + "\n") * x.size % tuple(x.tolist())).split("\n")[:-1])
+        return _text_rows(_percent_texts(x))
     d, e, unsure = _digits_and_exponent(x)
     group_texts, int_mask, frac_mask, point_at, prefix, suffix = _text_tables()
     # Four 4-digit groups; D < 1e15, so the first group's text starts with a
     # '0' and digit j of D is byte j + 1 of the 16.
     g0 = d // 10**12
-    rest = d - g0 * 10**12
-    g1 = rest // 10**8
-    rest -= g1 * 10**8
-    g2 = rest // 10**4
-    g3 = rest - g2 * 10**4
-    groups = np.stack([g0, g1, g2, g3], axis=1)
-    full = group_texts[groups].view(_WORD)
+    d -= g0 * 10**12
+    g1 = d // 10**8
+    d -= g1 * 10**8
+    g2 = d // 10**4
+    d -= g2 * 10**4
     # A group is written without its trailing zeros when every later group is 0.
-    zero3 = g3 == 0
+    zero3 = d == 0
     zero23 = zero3 & (g2 == 0)
-    groups[:, 3] += 10000
-    groups[:, 2] += 10000 * zero3
+    zero123 = zero23 & (g1 == 0)
+    groups = np.stack([g0, g1, g2, d], axis=1)
+    del g0, g1, g2, d
+    full = np.take(group_texts, groups).view(_WORD)
+    groups[:, 0] += 10000 * zero123
     groups[:, 1] += 10000 * zero23
-    groups[:, 0] += 10000 * (zero23 & (g1 == 0))
-    stripped = group_texts[groups].view(_WORD)
+    groups[:, 2] += 10000 * zero3
+    groups[:, 3] += 10000
+    del zero3, zero23, zero123
+    stripped = np.take(group_texts, groups).view(_WORD)
+    del groups
 
     fixed = (e >= -4) & (e < 15)
-    s = np.where(fixed, np.maximum(e + 1, 0), 1)
+    s = np.maximum(e + 1, 0)
+    s[~fixed] = 1
+    # Two mantissa words of 8 text bytes: the integer digits, which are the
+    # full digits moved down one byte, then the point and fraction digits.
     frac0 = stripped[:, 0] & np.take(frac_mask[0], s)
     frac1 = stripped[:, 1] & np.take(frac_mask[1], s)
+    del stripped
     point = (frac0 | frac1) != 0
-    # One row of 8 text bytes per word: prefix, two mantissa words, suffix.
-    words = np.empty((4, x.size), _WORD)
-    words[0] = np.take(prefix, np.where(fixed & (e < 0), -e, 0) + 5 * np.signbit(x))
-    # The integer digits are the full digits moved down one byte.
-    words[1] = ((full[:, 0] >> 8) | (full[:, 1] << 56)) & np.take(int_mask[0], s)
-    words[1] |= frac0 | np.take(point_at[0], s) * point
-    words[2] = (full[:, 1] >> 8) & np.take(int_mask[1], s)
-    words[2] |= frac1 | np.take(point_at[1], s) * point
-    words[3] = np.take(suffix, np.where(fixed, _E_MAX + 1, e) - _E_MIN)
+    word1 = (full[:, 0] >> 8) | (full[:, 1] << 56)
+    word1 &= np.take(int_mask[0], s)
+    word1 |= frac0 | np.take(point_at[0], s) * point
+    word2 = full[:, 1] >> 8
+    word2 &= np.take(int_mask[1], s)
+    word2 |= frac1 | np.take(point_at[1], s) * point
+    del full, frac0, frac1, point, s
+    # Four 8-byte words per number: prefix, two mantissa words, suffix.
+    prefix_at = np.where(fixed & (e < 0), -e, 0)
+    prefix_at += 5 * np.signbit(x)
+    e[fixed] = _E_MAX + 1
+    e -= _E_MIN
+    words = [np.take(prefix, prefix_at), word1, word2, np.take(suffix, e)]
+    del prefix_at, word1, word2, e
     rows = np.flatnonzero(unsure)
     if rows.size:
-        words[:, rows] = _words([_NUMBER % v for v in x[rows].tolist()], 32).reshape(-1, 4).T
+        texts = _words([_NUMBER % v for v in x[rows].tolist()], 32).reshape(-1, 4)
+        for j, word in enumerate(words):
+            word[rows] = texts[:, j]
     # Words no number uses are left out.
-    return np.ascontiguousarray(words[words.any(axis=1)].T).view(np.uint8)
+    return np.stack([word for word in words if word.any()], axis=1).view(np.uint8)
 
 
 def _squeeze(parts) -> str:
@@ -259,7 +318,8 @@ def _texts(table) -> list[str]:
 
 def format_numbers(values) -> list[str]:
     """Each value as 15-significant-digit text, in row-major order."""
-    return _texts(format_column(values))
+    x = np.asarray(values, dtype=float).ravel()
+    return _percent_texts(x) if x.size < _VECTOR_MIN else _texts(format_column(x))
 
 
 def _rows_holding(table, char: str) -> np.ndarray:
@@ -311,7 +371,13 @@ def _repr_token(text: str) -> str:
 
 
 def _json_numbers(values) -> list[str]:
-    return _texts(_json_tokens(format_column(values)))
+    """The JSON token of each value (see the module docstring); below
+    _VECTOR_MIN values, by the rule itself, one text at a time."""
+    x = np.asarray(values, dtype=float).ravel()
+    if x.size < _VECTOR_MIN:
+        return [text if "." in text and "e" not in text else _repr_token(text)
+                for text in format_numbers(x)]
+    return _texts(_json_tokens(format_column(x)))
 
 
 def _json_array(items: list[str], indent: str) -> str:
@@ -449,20 +515,24 @@ def matrix_to_json(matrix: ProbabilityMatrix) -> str:
     })
 
 
+def _report_fields(report: EfficiencyReport) -> dict:
+    return {f.name: getattr(report, f.name) for f in fields(report)}
+
+
 def report_to_json(report: EfficiencyReport) -> str:
-    fields = asdict(report)
-    floats = [key for key, value in fields.items() if isinstance(value, float)]
-    tokens = dict(zip(floats, _json_numbers([fields[key] for key in floats])))
-    return _json_object({key: tokens.get(key) or json.dumps(value) for key, value in fields.items()})
+    values = _report_fields(report)
+    floats = [key for key, value in values.items() if isinstance(value, float)]
+    tokens = dict(zip(floats, _json_numbers([values[key] for key in floats])))
+    return _json_object({key: tokens.get(key) or json.dumps(value) for key, value in values.items()})
 
 
 def report_to_text(report: EfficiencyReport) -> str:
     """Aligned two-column table for terminal display."""
-    fields = asdict(report)
-    floats = [key for key, value in fields.items() if isinstance(value, float)]
-    texts = dict(zip(floats, format_numbers([fields[key] for key in floats])))
+    values = _report_fields(report)
+    floats = [key for key, value in values.items() if isinstance(value, float)]
+    texts = dict(zip(floats, format_numbers([values[key] for key in floats])))
     rows = []
-    for key, value in fields.items():
+    for key, value in values.items():
         if value is None:
             rendered = "not reached"
         else:

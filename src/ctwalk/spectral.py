@@ -20,8 +20,11 @@ partition, so "degenerate" means one thing throughout.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -52,7 +55,7 @@ class ConvergenceError(RuntimeError):
     check; the message carries the residuals."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DegeneracyClass:
     """One cluster of numerically equal eigenvalues."""
 
@@ -64,31 +67,54 @@ class DegeneracyClass:
         return len(self.members)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Spectrum:
     """Eigenvalues (ascending), orthonormal eigenvectors (column j pairs with
     eigenvalue j), and the degeneracy-class partition of indices 0..n-1 into
-    contiguous runs, also as the arrays class_starts and class_values."""
+    contiguous runs: the arrays class_starts (each class's first index) and
+    class_values, and the same classes as DegeneracyClass objects in
+    classes, made on its first use.
+
+    Spectrum(n, eigenvalues, eigenvectors, classes, deg_tol) checks that the
+    classes split 0..n-1 into contiguous runs, in order."""
 
     n: int
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    classes: tuple[DegeneracyClass, ...]
     deg_tol: float
-    class_starts: np.ndarray = field(init=False, repr=False, compare=False)
-    class_values: np.ndarray = field(init=False, repr=False, compare=False)
+    class_starts: np.ndarray = field(repr=False, compare=False)
+    class_values: np.ndarray = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        if [i for c in self.classes for i in c.members] != list(range(self.n)):
+    def __init__(self, n, eigenvalues, eigenvectors, classes, deg_tol):
+        classes = tuple(classes)
+        members = tuple(map(attrgetter("members"), classes))
+        sizes = np.fromiter(map(len, members), np.intp, len(members))
+        indices = np.fromiter(chain.from_iterable(members), np.intp)
+        if not (sizes.all() and np.array_equal(indices, np.arange(n))):
             raise ValueError("classes must split 0..n-1 into contiguous runs, in order")
-        for name, arr in (
-            ("eigenvalues", np.array(self.eigenvalues, dtype=float)),
-            ("eigenvectors", np.array(self.eigenvectors, dtype=float)),
-            ("class_starts", np.array([c.members[0] for c in self.classes], dtype=np.intp)),
-            ("class_values", np.array([c.value for c in self.classes], dtype=float)),
-        ):
+        self._fill(n, np.array(eigenvalues, dtype=float), np.array(eigenvectors, dtype=float), deg_tol,
+                   np.cumsum(sizes) - sizes, np.fromiter(map(attrgetter("value"), classes), float, len(classes)))
+        self.__dict__["classes"] = classes
+
+    @classmethod
+    def _of_partition(cls, n, eigenvalues, eigenvectors, deg_tol, class_starts, class_values):
+        """A Spectrum of arrays that eigendecompose made and checked, taken
+        as they are."""
+        s = object.__new__(cls)
+        s._fill(n, eigenvalues, eigenvectors, deg_tol, class_starts, class_values)
+        return s
+
+    def _fill(self, n, eigenvalues, eigenvectors, deg_tol, class_starts, class_values):
+        arrays = {"eigenvalues": eigenvalues, "eigenvectors": eigenvectors,
+                  "class_starts": class_starts, "class_values": class_values}
+        for arr in arrays.values():
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        self.__dict__.update(arrays, n=n, deg_tol=deg_tol)  # past the frozen __setattr__
+
+    @functools.cached_property
+    def classes(self) -> tuple[DegeneracyClass, ...]:
+        """The partition as DegeneracyClass objects, in order."""
+        return _classes(self.class_starts, np.append(self.class_starts[1:], self.n), self.class_values)
 
 
 def _check_deg_tol(deg_tol: float) -> None:
@@ -101,27 +127,75 @@ def _check_deg_tol(deg_tol: float) -> None:
 def _check_residuals(a: np.ndarray, w: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
     """Raise ConvergenceError unless v is orthonormal and a v = v diag(w) to
     within _RESIDUAL_TOL * max(1, ||a||_F); return the eigen-residual and the
-    2-norm of each residual column.  Written so that NaN fails."""
+    residual matrix a v - v diag(w).  Written so that NaN fails."""
     tol = _RESIDUAL_TOL * max(1.0, float(np.linalg.norm(a)))
-    orth = float(np.max(np.abs(v.T @ v - np.eye(a.shape[0])), initial=0.0))
-    residual = a @ v - v * w
-    eig = float(np.max(np.abs(residual), initial=0.0))
+    gram = v.T @ v
+    gram.ravel()[:: a.shape[0] + 1] -= 1.0
+    orth = float(np.abs(gram, out=gram).max())
+    residual = a @ v
+    residual -= v * w
+    eig = float(np.abs(residual).max())
     if not (orth <= tol and eig <= tol):
         raise ConvergenceError(
             f"eigendecomposition failed its residual check: orthogonality residual "
             f"{orth:.3e}, eigen-residual {eig:.3e}, tolerance {tol:.3e}"
         )
-    return eig, np.sqrt(np.einsum("ij,ij->j", residual, residual))
+    return eig, residual
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Deterministic sign convention: the first component of largest magnitude
-    in each column is made positive (ties resolved by np.argmax's lowest
-    index)."""
-    if not vectors.size:
-        return vectors.copy()
-    lead = np.argmax(np.abs(vectors), axis=0)
-    return vectors * np.where(vectors[lead, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
+def _fix_signs(vectors: np.ndarray) -> None:
+    """Deterministic sign convention, applied in place: the first component
+    of largest magnitude in each column is made positive (ties resolved by
+    np.argmax's lowest index)."""
+    if vectors.size:
+        # Each column as a contiguous row, so that argmax runs along memory.
+        lead = np.abs(vectors.T, order="C").argmax(axis=1)
+        vectors *= np.where(vectors[lead, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
+
+
+def _partition(w: np.ndarray, deg_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The classes of an ascending eigenvalue array (see
+    cluster_degeneracies) as arrays: first members, ends (last member + 1)
+    and values."""
+    gaps = w[1:] - w[:-1]
+    if (gaps < 0).any():
+        raise ValueError("eigenvalues must be sorted ascending")
+    # A class ends where the next gap exceeds deg_tol, and at the end of w.
+    cut = np.empty(w.size + 1, bool)
+    cut[0] = cut[-1] = True
+    np.greater(gaps, deg_tol, out=cut[1:-1])
+    bounds = cut.nonzero()[0]
+    starts, ends = bounds[:-1], bounds[1:]
+    if starts.size == w.size:
+        return starts, ends, w.copy()  # every class has one member
+    # A class's value is its members' sum over their count, which is how
+    # np.mean forms it, bit for bit.  Up to two members np.add.reduceat sums
+    # them as np.add.reduce does, save that np.add.reduce's zero start turns
+    # a pair of -0.0 into 0.0; larger classes, rare in graph spectra, are
+    # summed by np.add.reduce itself, whose order np.add.reduceat does not
+    # follow.
+    sizes = ends - starts
+    values = np.add.reduceat(w, starts)
+    values[sizes == 2] += 0.0
+    values /= sizes
+    large = (sizes > 2).nonzero()[0]
+    for c in large.tolist():
+        values[c] = np.add.reduce(w[starts[c] : ends[c]]) / sizes[c]
+    # Only a class of three or more members can spread wider than deg_tol:
+    # a pair spreads one gap.
+    spreads = w[ends[large] - 1] - w[starts[large]]
+    if (spreads > deg_tol).any():
+        c = int(np.argmax(spreads))
+        raise ValueError(
+            f"degeneracy class at {values[large[c]]:.15g} spreads {spreads[c]:.3e}, wider "
+            f"than deg_tol {deg_tol:.3e}; lower --deg-tol to split it"
+        )
+    return starts, ends, values
+
+
+def _classes(starts: np.ndarray, ends: np.ndarray, values: np.ndarray) -> tuple[DegeneracyClass, ...]:
+    members = map(tuple, map(range, starts.tolist(), ends.tolist()))
+    return tuple(map(DegeneracyClass, values.tolist(), members))
 
 
 def cluster_degeneracies(eigenvalues, deg_tol: float = DEFAULT_DEG_TOL):
@@ -132,29 +206,7 @@ def cluster_degeneracies(eigenvalues, deg_tol: float = DEFAULT_DEG_TOL):
     ValueError."""
     w = np.asarray(eigenvalues, dtype=float)
     _check_deg_tol(deg_tol)
-    if w.size == 0:
-        return []
-    if np.any(np.diff(w) < 0):
-        raise ValueError("eigenvalues must be sorted ascending")
-    bounds = np.concatenate(([0], np.flatnonzero(np.diff(w) > deg_tol) + 1, [w.size]))
-    b = bounds.tolist()
-    # A class's mean is its members' sum over their count, which is how
-    # np.mean forms it, bit for bit, without np.mean's fixed cost.
-    # np.add.reduceat sums in another order and is not identical.
-    values = w.tolist()
-    classes = [
-        DegeneracyClass(values[i] if j - i == 1 else float(np.add.reduce(w[i:j])) / (j - i),
-                        tuple(range(i, j)))
-        for i, j in zip(b, b[1:])
-    ]
-    spreads = w[bounds[1:] - 1] - w[bounds[:-1]]
-    if np.any(spreads > deg_tol):
-        c = int(np.argmax(spreads))
-        raise ValueError(
-            f"degeneracy class at {classes[c].value:.15g} spreads {spreads[c]:.3e}, wider "
-            f"than deg_tol {deg_tol:.3e}; lower --deg-tol to split it"
-        )
-    return classes
+    return list(_classes(*_partition(w, deg_tol))) if w.size else []
 
 
 def eigendecompose(matrix, deg_tol: float = DEFAULT_DEG_TOL) -> Spectrum:
@@ -175,48 +227,50 @@ def eigendecompose(matrix, deg_tol: float = DEFAULT_DEG_TOL) -> Spectrum:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     _check_deg_tol(deg_tol)
+    n = a.shape[0]
+    if not n:
+        return Spectrum(0, np.zeros(0), np.zeros((0, 0)), (), deg_tol)
     finite = np.isfinite(a)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
         raise ValueError(f"matrix entry [{row}, {col}] is not finite ({a[row, col]})")
-    asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
+    # a - a.T is antisymmetric, so its largest entry is its largest magnitude.
+    asym = float((a - a.T).max())
     if asym > deg_tol:
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-    a = 0.5 * (a + a.T)
+    if asym:
+        a = 0.5 * (a + a.T)  # a symmetric a is this already, bit for bit
 
     try:
-        w, v = np.linalg.eigh(a)
+        w, v = np.linalg.eigh(a)  # eigenvalues ascending
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver failed: {exc}") from exc
-    eig, norms = _check_residuals(a, w, v)
+    eig, residual = _check_residuals(a, w, v)
     floor = _DEG_TOL_FLOOR * eig
     if deg_tol < floor:
         raise ValueError(
             f"deg_tol {deg_tol:.3e} is below the floor {floor:.3e}, {_DEG_TOL_FLOOR:g} times "
             f"the eigen-residual, where noise could split a degeneracy class; raise --deg-tol"
         )
-    order = np.argsort(w, kind="stable")
-    w, norms = w[order], norms[order]
-    v = _fix_signs(v[:, order])
-    s = Spectrum(n=a.shape[0], eigenvalues=w, eigenvectors=v,
-                 classes=tuple(cluster_degeneracies(w, deg_tol)), deg_tol=deg_tol)
-    if len(s.classes) == s.n:
-        return s  # no class has two members, so none can merge
-    first, last = s.class_starts, np.append(s.class_starts, s.n)[1:] - 1
-    spreads = w[last] - w[first]
-    # max(-w[0], w[-1]) is max|w| for an ascending w.  Compared, not divided:
-    # equal members with zero residuals pass.
-    limits = _MERGE_SLACK * (norms[first] + norms[last])
-    limits += s.n * np.finfo(float).eps * max(-w[0], w[-1])
-    merged = spreads > limits
-    if merged.any():
-        c = int(np.argmax(merged))
-        raise ValueError(
-            f"degeneracy class at {s.class_values[c]:.15g} spreads {spreads[c]:.3e}, more than "
-            f"its residual bound {limits[c]:.3e}, so it merges distinct eigenvalues; lower "
-            f"--deg-tol to split it"
-        )
-    return s
+    _fix_signs(v)
+    starts, ends, values = _partition(w, deg_tol)
+    if starts.size < n:  # some class has two or more members, which could merge
+        norms = np.sqrt(np.square(residual, out=residual).sum(axis=0))
+        first, last = starts, ends - 1
+        spreads = w[last] - w[first]
+        # max(-w[0], w[-1]) is max|w| for an ascending w.  Compared, not
+        # divided: equal members with zero residuals pass.
+        limits = _MERGE_SLACK * (norms[first] + norms[last])
+        limits += n * np.finfo(float).eps * max(-w[0], w[-1])
+        merged = spreads > limits
+        if merged.any():
+            c = int(merged.argmax())
+            raise ValueError(
+                f"degeneracy class at {values[c]:.15g} spreads {spreads[c]:.3e}, more than "
+                f"its residual bound {limits[c]:.3e}, so it merges distinct eigenvalues; lower "
+                f"--deg-tol to split it"
+            )
+    return Spectrum._of_partition(n, w, v, deg_tol, starts, values)
 
 
 def nearest_class(spectrum: Spectrum, value: float = 1.0) -> int:
@@ -228,7 +282,10 @@ def symmetry_degree(spectrum: Spectrum) -> int:
     """Multiplicity of the degeneracy class sitting at eigenvalue 1 (the
     class nearest 1, if within deg_tol of it), or 0 if that class is absent
     or non-degenerate (a simple eigenvalue 1 confers no symmetry degree)."""
-    cls = spectrum.classes[nearest_class(spectrum, 1.0)] if spectrum.classes else None
-    if cls is None or abs(cls.value - 1.0) > spectrum.deg_tol or cls.multiplicity < 2:
+    if not spectrum.n:
         return 0
-    return cls.multiplicity
+    c = nearest_class(spectrum, 1.0)
+    multiplicity = int(np.append(spectrum.class_starts, spectrum.n)[c + 1] - spectrum.class_starts[c])
+    if abs(spectrum.class_values[c] - 1.0) > spectrum.deg_tol or multiplicity < 2:
+        return 0
+    return multiplicity

@@ -292,12 +292,12 @@ def approx_alpha_bar_sq(s: Spectrum, class_index: int, t):
     Not a probability (it may leave [0, 1]), so it is exported unclamped
     under its own series tag.
     """
-    if not (0 <= class_index < len(s.classes)):
-        raise ValueError(f"class_index must be in 0..{len(s.classes) - 1}, got {class_index}")
+    if not (0 <= class_index < s.class_values.size):
+        raise ValueError(f"class_index must be in 0..{s.class_values.size - 1}, got {class_index}")
     ts = np.asarray(t, dtype=float)
     mult, vals = _class_mults(s), s.class_values
     d_l, e_l = mult[class_index], vals[class_index]
-    others = np.arange(len(s.classes)) != class_index
+    others = np.arange(s.class_values.size) != class_index
     cosines = np.cos(np.multiply.outer(vals[others] - e_l, ts))
     return (d_l**2 + 2.0 * d_l * (mult[others] @ cosines)) / s.n**2
 
@@ -307,7 +307,7 @@ def check_table_size(s: Spectrum, quantities, grid: TimeGrid) -> None:
     exceeds MAX_TABLE_ENTRIES: n rows when a NODE_ROW_QUANTITIES member is
     read (from_phases weights the phases per node), one per degeneracy class
     otherwise."""
-    rows = s.n if any(q in NODE_ROW_QUANTITIES for q in quantities) else len(s.classes)
+    rows = s.n if any(q in NODE_ROW_QUANTITIES for q in quantities) else s.class_values.size
     entries = rows * grid.size
     if entries > MAX_TABLE_ENTRIES:
         raise ValueError(

@@ -42,6 +42,19 @@ def expm_oracle(matrix, t: float, kind: str) -> np.ndarray:
     return result
 
 
+def laplacian_oracle(n: int, pairs) -> np.ndarray:
+    """L = Z - A of the graph on nodes 1..n with the given 1-based edges,
+    built one edge at a time in Python integers: an edge given twice, in
+    either orientation, counts once."""
+    rows = [[0] * n for _ in range(n)]
+    for u, v in {(min(u, v), max(u, v)) for u, v in pairs}:
+        rows[u - 1][v - 1] -= 1
+        rows[v - 1][u - 1] -= 1
+        rows[u - 1][u - 1] += 1
+        rows[v - 1][v - 1] += 1
+    return np.array(rows, dtype=np.int64).reshape(n, n)
+
+
 def propagator(s, t: float, kind: str) -> np.ndarray:
     """e^{-tL} (classical, real) or e^{-itL} (quantum, complex) at one time t,
     from the raw eigenvalues and eigenvectors of the Spectrum s.

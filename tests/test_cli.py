@@ -540,6 +540,15 @@ class TestExitCodes:
         assert code == 2 and "exceeds the limit" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text,line", [("n x\n1 2\n", "line 1"), ("n 3\n1 2\n2 x\n", "line 3")])
+    def test_non_integer_edge_list_is_usage_error(self, tmp_path, capsys, text, line):
+        edge_file = tmp_path / "bad.edges"
+        edge_file.write_text(text)
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "lta", "--graph", str(edge_file), "--out", str(out))
+        assert code == 2 and err.startswith(f"error: {line}: expected ")
+        assert not out.exists()
+
     def test_usage_error_without_subcommand(self, capsys):
         assert main([]) == 2
 

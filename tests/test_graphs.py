@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ctwalk import graphs
 from ctwalk.graphs import (
@@ -20,6 +22,18 @@ from ctwalk.graphs import (
     write_edge_list,
 )
 
+from oracles import laplacian_oracle
+
+
+@st.composite
+def edge_lists(draw):
+    """A node count and a random list of edges on it, duplicates and both
+    orientations included, self-loops left out."""
+    n = draw(st.integers(1, 30))
+    node = st.integers(1, n)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    return n, [(u, v) for u, v in pairs if u != v]
+
 
 class TestFromEdgeList:
     def test_single_edge(self):
@@ -38,6 +52,16 @@ class TestFromEdgeList:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             from_edge_list(2, [(1, 3)])
+
+    def test_first_bad_edge_is_named(self):
+        with pytest.raises(ValueError, match=r"edge \(0,2\) out of range 1\.\.3"):
+            from_edge_list(3, [(1, 2), (0, 2), (3, 3), (1, 4)])
+        with pytest.raises(ValueError, match=r"self-loop \(4,4\)"):
+            from_edge_list(3, [(1, 2), (4, 4), (0, 2)])
+
+    def test_pairs_must_be_pairs(self):
+        with pytest.raises(ValueError, match=r"\(u, v\) pairs"):
+            from_edge_list(3, [(1, 2, 3), (1, 2, 3)])
 
     def test_nonpositive_n_rejected(self):
         with pytest.raises(ValueError):
@@ -141,6 +165,21 @@ class TestMatrices:
             assert np.array_equal(m.sum(axis=0), np.zeros(g.n, dtype=np.int64))
             assert np.array_equal(m, m.T)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(edge_lists())
+    @example((1, []))
+    @example((6, []))
+    def test_matrices_match_per_edge_oracle(self, case):
+        n, pairs = case
+        g = from_edge_list(n, pairs)
+        assert from_edge_list(n, np.array(pairs, dtype=np.int64).reshape(-1, 2)) == g
+        lap = laplacian_oracle(n, pairs)
+        for matrix, expected in ((laplacian(g), lap), (adjacency(g), np.diag(np.diag(lap)) - lap)):
+            assert matrix.dtype == np.int64
+            assert not matrix.flags.writeable
+            assert np.array_equal(matrix, expected)
+        assert np.array_equal(g.degrees(), np.diag(lap))
+
     def test_adjacency_matches_edges(self):
         g = gen_cycle(4)
         a = adjacency(g)
@@ -189,6 +228,23 @@ class TestEdgeListFormat:
     def test_bad_pair_line(self):
         with pytest.raises(ValueError, match="expected 'u v'"):
             parse_edge_list("n 3\n1 2 3\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("# count next\nn x\n1 2\n", "line 2: expected header 'n <count>' with an integer count, got 'n x'"),
+        ("n 3\n1 2\n\n 2 x \n", "line 4: expected integer labels 'u v', got '2 x'"),
+        ("n 3\n1.5 2\n", "line 2: expected integer labels 'u v', got '1.5 2'"),
+    ])
+    def test_non_integer_names_line(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_edge_list(text)
+        assert str(info.value) == message
+
+    def test_label_beyond_int64_is_out_of_range(self):
+        big = 10**30
+        with pytest.raises(ValueError, match=rf"edge \(1,{big}\) out of range 1\.\.3"):
+            parse_edge_list(f"n 3\n1 2\n1 {big}\n")
+        with pytest.raises(ValueError, match=rf"edge \(1,{big}\) out of range 1\.\.3"):
+            from_edge_list(3, [(1, 2), (1, big)])
 
     def test_empty_input(self):
         with pytest.raises(ValueError, match="empty"):

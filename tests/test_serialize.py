@@ -228,6 +228,10 @@ class TestVectorisedFormatter:
         obj = json.loads(render_series("json", "approx_alpha_bar_sq", TimeColumn(values), [values])[0])
         assert obj["values"] == _rounded(values)
 
+    def test_non_finite_texts(self):
+        values = _past_cutoff([np.nan, np.inf, -np.inf, 0.5, -0.0])
+        assert format_numbers(values) == [f"{x:.15g}" for x in values]
+
     def test_ties_are_ties(self):
         # The tie case is only tested if some ties round up and some down.
         values = _decimal_ties()
@@ -329,6 +333,9 @@ class TestJsonWriter:
             padded = np.zeros((len(table), padded_width), np.uint8)
             padded[:, :width] = table
             assert serialize._texts(serialize._json_tokens(padded)) == expected
+        # Below _VECTOR_MIN values the tokens come from the rule itself, one
+        # text at a time, and not from a token table.
+        assert serialize._json_numbers(values) == expected
 
     def test_token_width_without_repr(self):
         """Tokens are the text table's width plus two bytes for ".0", and

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ctwalk.graphs import gen_path, gen_star, laplacian
+from ctwalk.graphs import gen_cycle, gen_path, gen_star, laplacian
 from ctwalk.spectral import (
     ConvergenceError,
     DegeneracyClass,
@@ -205,6 +205,16 @@ class TestClustering:
                 Spectrum(n=3, eigenvalues=s.eigenvalues, eigenvectors=s.eigenvectors,
                          classes=classes, deg_tol=s.deg_tol)
 
+    @pytest.mark.parametrize("graph", [gen_star(300), gen_path(300), gen_cycle(12)])
+    def test_classes_rebuild_the_arrays(self, graph):
+        # eigendecompose keeps its partition as arrays and makes the classes
+        # on first use; a Spectrum built from those classes has the same arrays.
+        s = eigendecompose(laplacian(graph))
+        rebuilt = Spectrum(s.n, s.eigenvalues, s.eigenvectors, s.classes, s.deg_tol)
+        assert np.array_equal(rebuilt.class_starts, s.class_starts)
+        assert rebuilt.class_values.tobytes() == s.class_values.tobytes()
+        assert rebuilt.classes == s.classes == tuple(cluster_degeneracies(s.eigenvalues))
+
     def test_class_multiplicity(self):
         assert DegeneracyClass(1.0, (3, 4, 5)).multiplicity == 3
 
@@ -226,6 +236,13 @@ class TestClustering:
         )
         classes = cluster_degeneracies(w, 1e-8)
         assert [c.multiplicity for c in classes] == sizes.tolist()
+        self._assert_class_means(w, classes)
+
+    def test_pair_of_negative_zeros_is_member_mean(self):
+        # np.mean of (-0.0, -0.0) is 0.0, as np.add.reduce starts from 0.0.
+        w = np.array([-0.0, -0.0, 1.0, 1.0 + 1e-12, 5.0])
+        classes = cluster_degeneracies(w, 1e-8)
+        assert [c.multiplicity for c in classes] == [2, 2, 1]
         self._assert_class_means(w, classes)
 
     @pytest.mark.parametrize("graph", [gen_star(300), gen_path(300)])
