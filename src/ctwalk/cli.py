@@ -99,8 +99,8 @@ def _spec_filename(spec: str) -> str:
     return spec.replace(":", "_") + ".edges"
 
 
-def _write(path: Path, content: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+def _write(path: Path, content: bytes) -> None:
+    with open(path, "wb") as fh:
         fh.write(content)
 
 
@@ -130,11 +130,12 @@ def cmd_evolve(config: RunConfig) -> int:
     approximation are selected they share one file with an extra column, the
     class for the approximation being the one nearest eigenvalue 1.  Each
     phase kind is evaluated once and read by every quantity of that kind, and
-    the time column is formatted once and shared by every file.  A pair
-    table is rendered in blocks of TimeColumn.block_rows rows (about 16 K
-    numbers, a constant of serialize), one render_series call per block.  A
-    run whose largest table would exceed transport.MAX_TABLE_ENTRIES writes
-    nothing.
+    the time column is formatted once, in the run's format, and shared by
+    every file.  A pair table is rendered in blocks of TimeColumn.block_rows
+    rows (about 16 K numbers, a constant of serialize), one render_series
+    call per block, which returns each file's bytes, written as they are.
+    A run whose largest table would exceed transport.MAX_TABLE_ENTRIES
+    writes nothing.
     """
     g = resolve_graph(config.graph_source)
     if not (1 <= config.start_node <= g.n):
@@ -157,10 +158,10 @@ def cmd_evolve(config: RunConfig) -> int:
         # return, before the next one is built.
         step = times.block_rows
         for start in range(0, len(names), step):
-            texts = serialize.render_series(config.fmt, quantity, times, table[start : start + step], approx)
-            for name, text in zip(names[start : start + step], texts):
+            files = serialize.render_series(config.fmt, quantity, times, table[start : start + step], approx)
+            for name, content in zip(names[start : start + step], files):
                 path = config.out_dir / f"{name}.{config.fmt}"
-                _write(path, text)
+                _write(path, content)
                 written.append(path)
 
     selected = [q for q in QUANTITIES if q in config.quantities
@@ -196,10 +197,10 @@ def cmd_lta(config: RunConfig) -> int:
     _prepare_out_dir(config.out_dir)
     if config.fmt == "csv":
         path = config.out_dir / "lta.csv"
-        _write(path, serialize.matrix_to_csv(matrix))
+        _write(path, serialize.matrix_to_csv(matrix).encode())
     else:
         path = config.out_dir / "lta.json"
-        _write(path, serialize.matrix_to_json(matrix))
+        _write(path, serialize.matrix_to_json(matrix).encode())
     print(path)
     return EXIT_OK
 
@@ -210,7 +211,7 @@ def cmd_report(config: RunConfig) -> int:
     report = analysis.efficiency_report(g, config.grid, config.deg_tol, label=config.graph_source)
     _prepare_out_dir(config.out_dir)
     path = config.out_dir / "report.json"
-    _write(path, serialize.report_to_json(report))
+    _write(path, serialize.report_to_json(report).encode())
     print(serialize.report_to_text(report), end="")
     print(path)
     return EXIT_OK

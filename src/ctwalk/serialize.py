@@ -3,25 +3,32 @@
 Numbers are rendered with 15 significant digits, fixed column order, LF line
 endings, so identical configurations produce byte-identical files.
 
-There is one number formatter, ``format_column``.  It returns a text table:
-one row of bytes per number, holding exactly the text of ``'%.15g' % x`` with
-NUL bytes in any unused places, which ``bytes.translate`` deletes when the
-table is written out.  Writers lay separators beside the rows and squeeze the
-whole file in one pass.  There is one series serializer, ``render_series``:
-it takes a (rows, T) table of series, one file per row, and the time grid
-as a ``TimeColumn``, so a grid shared by several series is formatted once,
-in each format.
+There is one number formatter, ``_put_words``.  It writes the text of
+``'%.15g' % x``, or for JSON its token, as 8-byte words, byte j of a word at
+bits 8j..8j+7, with NUL bytes in any unused places, which ``bytes.translate``
+deletes when the words are written out.  Four words hold a prefix (a sign,
+and the "0." and zeros of fixed notation below 1), two mantissa words and a
+suffix (an exponent text, or a JSON token's ".0"): that is the text table of
+``format_column``, which the matrix and number-list writers read.  A line of
+a series file holds three: a text with a suffix has at most a sign before
+its mantissa, so its mantissa and suffix move up one byte, 1 + 16 + 5 bytes
+against 6 + 16 in fixed notation.
 
-A series table is rendered in row blocks.  ``evolve`` hands
-``render_series`` ``TimeColumn.block_rows`` rows at a time, about
-``_BLOCK_NUMBERS`` (16,384) numbers and at least one row, and the block's
-numbers are checked, clipped and formatted by one ``format_column`` call:
-one call per row would pay that call's fixed cost once per file, and one
-call over the whole table outgrows the cache.  Each row's text table is a
-slice of the block's.  The separators of a file's lines (the time text,
-',' and '\n' in CSV; the indent and ',' of a JSON array) are laid out once
-per block in a line frame, and only each row's value bytes are copied into
-it before the squeeze.
+There is one series serializer, ``render_series``.  It takes a (rows, T)
+table of series, one file per row, and the time grid as a ``TimeColumn``,
+which lays out once, on first use, what every file on the grid shares: in
+CSV each line's lead words, '\n', the time text and ',' from the first byte
+(one word on the default grid, "\n49.99,"); in JSON the array of the time
+tokens.  ``evolve`` hands ``render_series`` ``TimeColumn.block_rows`` rows
+at a time, about ``_BLOCK_NUMBERS`` (16,384) numbers and at least one row:
+one formatter call per row would pay that call's fixed cost once per file,
+and one call over the whole table outgrows the cache.  The block is
+checked, clipped and formatted by one call, straight into the block's line
+frame, a uint64 table with one line per row: the lead words, then the
+value's three words (in CSV with the approximation column, a ',' word and
+three more).  A JSON line leads with ",\n    ", or "\n    " on an array's
+first line.  Each file is one contiguous slice of the frame, squeezed by one
+``translate``, between its header and its tail, all as bytes.
 
 Inputs of fewer than ``_VECTOR_MIN`` numbers are formatted by one
 %-operation over a template with a ``%.15g`` slot per number.  Larger inputs
@@ -36,9 +43,10 @@ are formatted in numpy, with the same bytes:
   fl + (r > 0.5).  A D rounded up to 1e15 becomes 1e14 with E + 1, which is
   how 9.9999999999999995e-05 becomes "0.0001".
 * D's digits come from a table of 4-digit texts, in a full and a
-  trailing-zeros-as-NUL version, and are laid out as %.15g lays them out:
-  fixed notation for -4 <= E < 15, exponent notation otherwise, trailing
-  fraction zeros and a bare point dropped, a '-' sign, and "0" and "-0".
+  trailing-zeros-as-NUL version, and are laid out as %.15g lays them out,
+  by masks and texts looked up by E: fixed notation for -4 <= E < 15,
+  exponent notation otherwise, trailing fraction zeros and a bare point
+  dropped, a '-' sign, and "0" and "-0".
 * Each step writes over or drops the arrays it no longer needs, so that a
   call holds about 90 bytes of temporaries per number at its peak.
 * A number is formatted by ``'%.15g' % x`` instead when the remainder is
@@ -51,15 +59,16 @@ are formatted in numpy, with the same bytes:
 JSON is written in the layout of ``json.dumps(obj, indent=2)``, keys in a
 fixed order, and each JSON number is the token ``json.dumps`` writes for the
 float that the ``%.15g`` text parses back to, derived from the text by one
-rule: from the text table by ``_json_tokens``, and text by text in Python
-below ``_VECTOR_MIN`` numbers.  A decimal of at most 15 significant digits
-survives the round trip through a double, so a text with a decimal point and
-no exponent is that token already.  Every other text is written as
-``repr(float(text))``: an integral text gains ".0" ("1" -> "1.0", "-0" ->
-"-0.0"); the exponent e+15, where ``%.15g`` switches to exponent notation
-one decade before repr, becomes fixed notation ("1e+15" ->
-"1000000000000000.0"); a subnormal, which holds fewer than 15 digits, takes
-its shortest digits ("4.94065645841247e-324" -> "5e-324"); and every other
+rule, which the formatter's suffixes follow in numpy and ``_json_token``
+applies to each text that %-formatting writes.  A decimal of at most 15
+significant digits survives the round trip through a double, so a text with
+a decimal point and no exponent is that token already.  Every other text is
+written as ``repr(float(text))``: an integral text gains ".0" ("1" -> "1.0",
+"-0" -> "-0.0"), as its suffix in numpy; the exponent e+15, where ``%.15g``
+switches to exponent notation one decade before repr, becomes fixed notation
+("1e+15" -> "1000000000000000.0"), so numpy leaves such numbers to
+%-formatting; a subnormal, which holds fewer than 15 digits, takes its
+shortest digits ("4.94065645841247e-324" -> "5e-324"); and every other
 exponent text comes back unchanged.  JSON has no token for NaN or infinity,
 and such values are rejected before anything is written.
 
@@ -89,7 +98,7 @@ _NUMBER = "%.15g"
 _VECTOR_MIN = 256
 
 # A series table is rendered in blocks of about this many numbers, one
-# format_column call each.  The cost per number falls with the call's size
+# formatter call each.  The cost per number falls with the call's size
 # while its temporaries stay in cache, and rises again beyond.  On the
 # values of a path:300 pair table (same machine, best of many calls) it was
 # 525 ns at 256 numbers, 146-160 ns at 5001, 123-145 ns from 10,002 to
@@ -110,6 +119,7 @@ _TIE_MARGIN = 1e-6
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker's split of a double into halves
 _K_MIN, _K_MAX = -240, 270  # the powers 10^k a scaling can need
 _E_MIN, _E_MAX = -330, 330  # exponents with a suffix text
+_E_COUNT = _E_MAX - _E_MIN + 1
 # Eight text bytes read as one number, byte j at bits 8j..8j+7 on any host.
 _WORD = np.dtype("<u8")
 
@@ -125,25 +135,40 @@ def _text_tables() -> tuple[np.ndarray, ...]:
 
     * the 4-digit text of 0..9999 as 4 bytes, then the same texts with
       trailing zeros as NUL;
-    * by s, the number of integer digits before the point (0 for
-      "0.000ddd"), the 16 mantissa bytes as two words: a mask of the bytes
-      below s, which hold integer digits, a mask of the bytes above s, which
-      hold fraction digits, and the point at byte s (none for s = 0);
-    * by 5 * sign + zeros, the sign and the "0." and zeros that fixed
-      notation puts before a number below 1;
-    * the exponent texts e-330..e+330, then the empty suffix of fixed
-      notation.
+    * by exponent E (at E - _E_MIN), six words: for the 16 mantissa bytes,
+      with s the number of integer digits before the point (0 for
+      "0.000ddd", 1 in exponent notation), two words each of a mask of the
+      bytes below s, which hold integer digits, a mask of the bytes above
+      s, which hold fraction digits, and the point at byte s (none for
+      s = 0);
+    * by exponent and sign (at E - _E_MIN, plus _E_COUNT for a '-'), the
+      sign and the "0." and zeros that fixed notation puts before a number
+      below 1;
+    * by exponent and point (at E - _E_MIN, plus _E_COUNT when the text has
+      a point), the suffix of a JSON token: the exponent text ("e-05") in
+      exponent notation, and in fixed notation the ".0" of an integral text
+      or nothing.  The half with a point is the suffix of a %.15g text.
     """
     digits = (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10).astype(np.uint8)
     significant = np.logical_or.accumulate(digits[:, ::-1] != 0, axis=1)[:, ::-1]
     groups = np.concatenate([digits + 48, np.where(significant, digits + 48, 0)])
+    exponents = range(_E_MIN, _E_MAX + 1)
+    fixed = [-4 <= e < 15 for e in exponents]
+    s = [max(e + 1, 0) if f else 1 for e, f in zip(exponents, fixed)]
+    masks = [
+        _words(texts, 16).reshape(16, 2)[s].T
+        for texts in ([b"\xff" * k for k in range(16)],
+                      [b"\0" * (k + 1) + b"\xff" * (15 - k) for k in range(16)],
+                      [b""] + [b"\0" * k + b"." for k in range(1, 16)])
+    ]
+    prefixes = [sign + ("0." + "0" * (-e - 1) if f and e < 0 else "")
+                for sign in ("", "-") for e, f in zip(exponents, fixed)]
+    suffixes = ["" if f else "e%+03d" % e for e, f in zip(exponents, fixed)]
     return (
         groups.astype(np.uint8).view("<u4").ravel(),
-        _words([b"\xff" * s for s in range(16)], 16).reshape(16, 2).T.copy(),
-        _words([b"\0" * (s + 1) + b"\xff" * (15 - s) for s in range(16)], 16).reshape(16, 2).T.copy(),
-        _words([b""] + [b"\0" * s + b"." for s in range(1, 16)], 16).reshape(16, 2).T.copy(),
-        _words(["", "0.", "0.0", "0.00", "0.000", "-", "-0.", "-0.0", "-0.00", "-0.000"], 8),
-        _words(["e%+03d" % e for e in range(_E_MIN, _E_MAX + 1)] + [""], 8),
+        np.concatenate(masks),
+        _words(prefixes, 8),
+        _words([".0" if f else text for text, f in zip(suffixes, fixed)] + suffixes, 8),
     )
 
 
@@ -233,34 +258,43 @@ def _percent_texts(x: np.ndarray) -> list[str]:
     return ((_NUMBER + "\n") * x.size % tuple(x.tolist())).split("\n")[:-1]
 
 
-def _text_rows(texts) -> np.ndarray:
-    rows = np.array(texts, dtype="S")
-    return rows.view(np.uint8).reshape(len(texts), rows.itemsize)
-
-
-def format_column(values) -> np.ndarray:
-    """The %.15g text of each value (any array shape, read row-major) as one
-    row of a uint8 text table; unused bytes are NUL (see the module
-    docstring)."""
-    x = np.asarray(values, dtype=float).ravel()
+def _put_words(x: np.ndarray, words: np.ndarray, json_tokens: bool = False) -> None:
+    """Write the %.15g text of each value of a 1-d array (with json_tokens,
+    its JSON token) into the rows of words, an (x.size, 4) or (x.size, 3)
+    uint64 array or view, with NULs in any unused bytes.  Four words are
+    the prefix, two mantissa words and the suffix; three are the same
+    packed as the module docstring describes.  Longer inputs are written
+    _BLOCK_NUMBERS numbers at a time, so that the temporaries stay in
+    cache."""
+    if x.size > _BLOCK_NUMBERS:
+        for start in range(0, x.size, _BLOCK_NUMBERS):
+            block = slice(start, start + _BLOCK_NUMBERS)
+            _put_words(x[block], words[block], json_tokens)
+        return
+    width = words.shape[1]
     if x.size < _VECTOR_MIN:
-        return _text_rows(_percent_texts(x))
+        texts = _percent_texts(x)
+        if json_tokens:
+            texts = map(_json_token, texts)
+        words[:] = _words(list(texts), 8 * width).reshape(-1, width)
+        return
     d, e, unsure = _digits_and_exponent(x)
-    group_texts, int_mask, frac_mask, point_at, prefix, suffix = _text_tables()
+    group_texts, masks, prefixes, suffixes = _text_tables()
     # Four 4-digit groups; D < 1e15, so the first group's text starts with a
     # '0' and digit j of D is byte j + 1 of the 16.
-    g0 = d // 10**12
-    d -= g0 * 10**12
-    g1 = d // 10**8
-    d -= g1 * 10**8
-    g2 = d // 10**4
-    d -= g2 * 10**4
+    groups = np.empty((x.size, 4), np.intp)
+    high = d // 10**8
+    d -= high * 10**8
+    for j, half in enumerate((high, d)):
+        group = half // 10**4
+        groups[:, 2 * j] = group
+        half -= group * 10**4
+        groups[:, 2 * j + 1] = half
+    del d, high, group, half
     # A group is written without its trailing zeros when every later group is 0.
-    zero3 = d == 0
-    zero23 = zero3 & (g2 == 0)
-    zero123 = zero23 & (g1 == 0)
-    groups = np.stack([g0, g1, g2, d], axis=1)
-    del g0, g1, g2, d
+    zero3 = groups[:, 3] == 0
+    zero23 = zero3 & (groups[:, 2] == 0)
+    zero123 = zero23 & (groups[:, 1] == 0)
     full = np.take(group_texts, groups).view(_WORD)
     groups[:, 0] += 10000 * zero123
     groups[:, 1] += 10000 * zero23
@@ -270,50 +304,76 @@ def format_column(values) -> np.ndarray:
     stripped = np.take(group_texts, groups).view(_WORD)
     del groups
 
-    fixed = (e >= -4) & (e < 15)
-    s = np.maximum(e + 1, 0)
-    s[~fixed] = 1
+    if json_tokens:
+        unsure |= e == 15  # a repr token
+    e -= _E_MIN  # the tables' index
+    int0, int1, frac0, frac1, point0, point1 = (np.take(mask, e) for mask in masks)
     # Two mantissa words of 8 text bytes: the integer digits, which are the
     # full digits moved down one byte, then the point and fraction digits.
-    frac0 = stripped[:, 0] & np.take(frac_mask[0], s)
-    frac1 = stripped[:, 1] & np.take(frac_mask[1], s)
+    frac0 &= stripped[:, 0]
+    frac1 &= stripped[:, 1]
     del stripped
     point = (frac0 | frac1) != 0
+    point0 *= point
+    frac0 |= point0
+    point1 *= point
+    frac1 |= point1
+    del point0, point1
     word1 = (full[:, 0] >> 8) | (full[:, 1] << 56)
-    word1 &= np.take(int_mask[0], s)
-    word1 |= frac0 | np.take(point_at[0], s) * point
+    word1 &= int0
+    word1 |= frac0
     word2 = full[:, 1] >> 8
-    word2 &= np.take(int_mask[1], s)
-    word2 |= frac1 | np.take(point_at[1], s) * point
-    del full, frac0, frac1, point, s
-    # Four 8-byte words per number: prefix, two mantissa words, suffix.
-    prefix_at = np.where(fixed & (e < 0), -e, 0)
-    prefix_at += 5 * np.signbit(x)
-    e[fixed] = _E_MAX + 1
-    e -= _E_MIN
-    words = [np.take(prefix, prefix_at), word1, word2, np.take(suffix, e)]
-    del prefix_at, word1, word2, e
+    word2 &= int1
+    word2 |= frac1
+    del full, int0, int1, frac0, frac1
+    prefix = np.take(prefixes, e + _E_COUNT * np.signbit(x))
+    ends = np.take(suffixes, e + _E_COUNT * point if json_tokens else e + _E_COUNT)
+    del e, point
+    if width == 4:
+        words[:, 3] = ends
+    else:
+        # A text with a suffix has at most a sign before its mantissa, so its
+        # mantissa and suffix move up one byte, into three words: 1 + 16 + 5
+        # bytes at most, against 6 + 16 in fixed notation.
+        rows = np.flatnonzero(ends != 0)
+        if rows.size:
+            high, low = word1[rows], word2[rows]
+            prefix[rows] |= high << 8
+            word1[rows] = (high >> 56) | (low << 8)
+            word2[rows] = (low >> 56) | (ends[rows] << 8)
+    words[:, 0] = prefix
+    words[:, 1] = word1
+    words[:, 2] = word2
     rows = np.flatnonzero(unsure)
     if rows.size:
-        texts = _words([_NUMBER % v for v in x[rows].tolist()], 32).reshape(-1, 4)
-        for j, word in enumerate(words):
-            word[rows] = texts[:, j]
-    # Words no number uses are left out.
-    return np.stack([word for word in words if word.any()], axis=1).view(np.uint8)
+        texts = [_NUMBER % v for v in x[rows].tolist()]
+        if json_tokens:
+            texts = map(_json_token, texts)
+        words[rows] = _words(list(texts), 8 * width).reshape(-1, width)
 
 
-def _squeeze(parts) -> str:
-    """The rows of the tables side by side, NULs removed."""
-    return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0").decode("ascii")
+def format_column(values) -> np.ndarray:
+    """The %.15g text of each value (any array shape, read row-major) as one
+    row of a uint8 text table; unused bytes are NUL (see the module
+    docstring)."""
+    x = np.asarray(values, dtype=float).ravel()
+    # Each word column is written as one contiguous row, and words no number
+    # uses are left out (all but one when there are no numbers).
+    words = np.empty((4, x.size), _WORD)
+    _put_words(x, words.T)
+    used = [word for word in words if word.any()]
+    return np.stack(used or [words[0]], axis=1).view(np.uint8)
 
 
-def _bytes(text: str, n: int) -> np.ndarray:
-    """The same separator text on each of n rows."""
-    return np.broadcast_to(np.frombuffer(text.encode(), np.uint8), (n, len(text)))
+def _squeeze(table) -> bytes:
+    """The bytes of a table of words or text rows, NULs removed."""
+    return table.tobytes().translate(None, b"\0")
 
 
 def _texts(table) -> list[str]:
-    return _squeeze([table, _bytes("\n", len(table))]).split("\n")[:-1]
+    """The text of each row of a uint8 text table."""
+    lines = np.concatenate([table, np.full((len(table), 1), ord("\n"), np.uint8)], axis=1)
+    return _squeeze(lines).decode("ascii").split("\n")[:-1]
 
 
 def format_numbers(values) -> list[str]:
@@ -322,48 +382,10 @@ def format_numbers(values) -> list[str]:
     return _percent_texts(x) if x.size < _VECTOR_MIN else _texts(format_column(x))
 
 
-def _rows_holding(table, char: str) -> np.ndarray:
-    """Whether each row of a text table holds the given character.  When the
-    width allows, the row's hits are read eight to a word and the word
-    columns or-ed together, which costs a tenth of a reduction along rows."""
-    hits = table == ord(char)
-    if not hits.shape[1] or hits.shape[1] % 8:
-        return hits.any(axis=1)
-    return functools.reduce(np.bitwise_or, hits.view(_WORD).T) != 0
-
-
-def _json_tokens(table) -> np.ndarray:
-    """The JSON number token of each text of a text table (see the module
-    docstring), as a text table: the table's width plus two bytes for the
-    ".0" of an integral text, widened to hold a repr only when some text
-    needs one."""
-    n, width = table.shape
-    exponent = _rows_holding(table, "e")
-    integral = ~exponent & ~_rows_holding(table, ".")
-    # The exponent text follows the 'e': a sign and two or three digits,
-    # read with one NUL past the table's end.
-    rows = np.flatnonzero(exponent)
-    texts = np.zeros((rows.size, width + 1), np.uint8)
-    texts[:, :width] = table[rows]
-    at = np.argmax(texts == ord("e"), axis=1)
-    sign, d1, d2, d3 = np.take_along_axis(texts, at[:, None] + np.arange(1, 5), axis=1).T.astype(int)
-    three = d3 != 0
-    power = np.where(three, 100 * d1 + 10 * d2 + d3 - 5328, 10 * d1 + d2 - 528)
-    plus_15 = (sign == ord("+")) & ~three & (power == 15)
-    from_minus_308 = (sign == ord("-")) & three & (power >= 308)
-    # Those, and inf and nan, go through repr.
-    odd = np.union1d(rows[plus_15 | from_minus_308], np.flatnonzero(_rows_holding(table, "n")))
-    tokens = np.zeros((n, (max(width, 24) if odd.size else width) + 2), np.uint8)
-    tokens[:, :width] = table
-    tokens[integral, -2:] = np.frombuffer(b".0", np.uint8)
-    if odd.size:
-        reprs = _text_rows([_repr_token(text) for text in _texts(table[odd])])
-        tokens[odd] = 0
-        tokens[odd, : reprs.shape[1]] = reprs
-    return tokens
-
-
-def _repr_token(text: str) -> str:
+def _json_token(text: str) -> str:
+    """The JSON token of a %.15g text (see the module docstring)."""
+    if "." in text and "e" not in text:
+        return text
     x = float(text)
     if not math.isfinite(x):
         raise ValueError(f"JSON has no number for {text}")
@@ -375,9 +397,10 @@ def _json_numbers(values) -> list[str]:
     _VECTOR_MIN values, by the rule itself, one text at a time."""
     x = np.asarray(values, dtype=float).ravel()
     if x.size < _VECTOR_MIN:
-        return [text if "." in text and "e" not in text else _repr_token(text)
-                for text in format_numbers(x)]
-    return _texts(_json_tokens(format_column(x)))
+        return [_json_token(text) for text in _percent_texts(x)]
+    words = np.empty((x.size, 3), _WORD)
+    _put_words(x, words, json_tokens=True)
+    return _texts(words.view(np.uint8))
 
 
 def _json_array(items: list[str], indent: str) -> str:
@@ -389,20 +412,6 @@ def _json_array(items: list[str], indent: str) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
 
 
-def _json_number_arrays(tokens, count: int, indent: str) -> list[str]:
-    """_json_array of the tokens of each of count equal runs of rows of a
-    token table, in one line frame (see _framed)."""
-    n = len(tokens) // count if count else 0
-    if not n:
-        return ["[]"] * count
-    inner = np.frombuffer(("\n" + indent + "  ").encode(), np.uint8)
-    frame = np.empty((n, inner.size + tokens.shape[1] + 1), np.uint8)
-    frame[:, : inner.size] = inner
-    frame[:, -1] = ord(",")
-    bodies = _framed(frame, slice(inner.size, -1), tokens.reshape(count, n, tokens.shape[1]))
-    return ["[" + body[:-1] + "\n" + indent + "]" for body in bodies]
-
-
 def _json_object(fields: dict) -> str:
     """A top-level JSON object of encoded values, as json.dumps(indent=2)
     writes it, with a final newline."""
@@ -410,25 +419,41 @@ def _json_object(fields: dict) -> str:
     return "{\n" + ",\n".join(members) + "\n}\n"
 
 
-def _framed(frame, slot: slice, tables) -> list[str]:
-    """The text of a frame, a text table whose separators are laid out once,
-    with each table in turn copied into the slot's columns, NULs removed."""
-    texts = []
-    for table in tables:
-        frame[:, slot] = table
-        texts.append(frame.tobytes().translate(None, b"\0").decode("ascii"))
-    return texts
+# The lead words of the lines of a JSON array of numbers at indent 2, the
+# first line's and every later line's, and the word that ends a CSV time text.
+_JSON_FIRST, _JSON_NEXT, _CSV_END = _words(["\n    ", ",\n    ", ",\n"], 8).tolist()
+# By k, a mask of a word's k low bytes.
+_LOW_BYTES = _words([b"\xff" * k for k in range(9)], 8)
+
+
+def _json_frame(x: np.ndarray, n: int) -> np.ndarray:
+    """The line frame of consecutive JSON arrays of n numbers, holding the
+    tokens of x: a lead word and three token words a line."""
+    frame = np.empty((x.size, 4), _WORD)
+    frame[:, 0] = _JSON_NEXT
+    frame[::n, 0] = _JSON_FIRST
+    _put_words(x, frame[:, 1:], json_tokens=True)
+    return frame
+
+
+def _joined(pieces: list[bytes], bodies) -> bytes:
+    """The pieces with the bodies between them, in turn."""
+    parts = [pieces[0]]
+    for body, piece in zip(bodies, pieces[1:]):
+        parts += (body, piece)
+    return b"".join(parts)
 
 
 class TimeColumn:
-    """A time grid formatted once for every series file written on it: its
-    text table, and the JSON array of its tokens, made on first use."""
+    """A time grid formatted once for every series file written on it, in
+    the format it is written in, on first use: the lead words of each CSV
+    line, and the JSON array of its tokens."""
 
     def __init__(self, times):
-        self.table = format_column(times)
+        self.times = np.asarray(times, dtype=float).ravel()
 
     def __len__(self) -> int:
-        return len(self.table)
+        return self.times.size
 
     @property
     def block_rows(self) -> int:
@@ -437,21 +462,45 @@ class TimeColumn:
         return max(1, _BLOCK_NUMBERS // max(len(self), 1))
 
     @functools.cached_property
-    def json_array(self) -> str:
-        return _json_number_arrays(_json_tokens(self.table), 1, "  ")[0]
+    def csv_lead(self) -> np.ndarray:
+        """An (n, L) word table: row i holds '\\n', the text of time i and
+        ',', from its first byte, in as many words as the longest needs."""
+        words = np.empty((len(self), 4), _WORD)
+        _put_words(self.times, words[:, :3])
+        words[:, 3] = _CSV_END
+        # The squeezed text "\n0,\n0.01,\n...,\n" holds line i from the
+        # i-th '\n' up to the next; its eight bytes from each offset, read as
+        # one word, are gathered back a line to a row, with NULs past the
+        # line's end.
+        text = b"\n" + _squeeze(words) + bytes(24)
+        starts = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n"))
+        lengths = np.diff(starts)
+        at_offset = np.ndarray((len(text) - 7,), _WORD, text, strides=(1,))
+        lead = np.empty((len(self), -(-int(lengths.max()) // 8)), _WORD)
+        for j in range(lead.shape[1]):
+            bytes_in = np.clip(lengths - 8 * j, 0, 8)
+            np.bitwise_and(at_offset[starts[:-1] + 8 * j], _LOW_BYTES[bytes_in], out=lead[:, j])
+        return lead
+
+    @functools.cached_property
+    def json_array(self) -> bytes:
+        if not len(self):
+            return b"[]"
+        return b"[" + _squeeze(_json_frame(self.times, len(self))) + b"\n  ]"
 
 
-def render_series(fmt: str, quantity: str, times: TimeColumn, table, approx=None) -> list[str]:
+def render_series(fmt: str, quantity: str, times: TimeColumn, table, approx=None) -> list[bytes]:
     """The series files ('csv' or 'json') of the rows of a (rows, T) value
-    table on a time grid already formatted as a TimeColumn, one text per
-    row: a 't,value' table, or 't,value,approx' when the approximation
-    column of a one-row table is given.  Values tagged as probabilities are
-    clipped; the approximation column is written as given.  A non-finite
-    value in either is rejected.
+    table on a time grid already formatted as a TimeColumn, as bytes, one
+    file per row: a 't,value' table, or 't,value,approx' when the
+    approximation column of a one-row table is given.  Values tagged as
+    probabilities are clipped; the approximation column is written as
+    given.  A non-finite value in either is rejected.
 
-    The table is checked and formatted as one block, in one format_column
-    call, and each row's text is a slice of the block's text table; a
-    caller with many rows passes them times.block_rows at a time."""
+    The table is checked and formatted as one block, into one line frame
+    of words, and each row's file is a slice of that frame with its NULs
+    squeezed out; a caller with many rows passes them times.block_rows at
+    a time."""
     n = len(times)
     values = np.asarray(table, dtype=float)
     if values.ndim != 2 or values.shape[1] != n:
@@ -465,33 +514,42 @@ def render_series(fmt: str, quantity: str, times: TimeColumn, table, approx=None
         raise ValueError(f"{quantity}: series values must be finite")
     if quantity != "approx_alpha_bar_sq":
         values = np.clip(values, 0.0, 1.0)
-    texts = format_column(values if approx is None else np.vstack([values, approx]))
-    columns = 1 if approx is None else 2
+    numbers = values.ravel() if approx is None else np.concatenate([values[0], approx])
     if fmt == "csv":
-        header = "t,value\n" if approx is None else "t,value,approx\n"
-        if not n:
-            return [header] * rows
-        # One line frame: the time text, then ',' and a value slot per
-        # column, then '\n'.  The approximation column is copied in once.
-        time_width, width = times.table.shape[1], texts.shape[1]
-        frame = np.empty((n, time_width + columns * (width + 1) + 1), np.uint8)
-        frame[:, :time_width] = times.table
-        frame[:, time_width :: width + 1] = ord(",")
-        frame[:, -1] = ord("\n")
-        value = slice(time_width + 1, time_width + 1 + width)
-        if approx is not None:
-            frame[:, value.stop + 1 : -1] = texts[n:]
-        return [header + text for text in _framed(frame, value, texts[: rows * n].reshape(rows, n, width))]
+        pieces = [b"t,value" if approx is None else b"t,value,approx", b"\n"]
+        if not (n and rows):
+            return [_joined(pieces, [b""])] * rows
+        # A line: the lead words, then the value's three words, and for the
+        # approximation column a ',' word and its three words.
+        lead = times.csv_lead
+        at = lead.shape[1]
+        if approx is None:
+            frame = np.empty((rows * n, at + 3), _WORD)
+            frame.reshape(rows, n, -1)[:, :, :at] = lead
+            _put_words(numbers, frame[:, at:])
+        else:
+            words = np.empty((2 * n, 3), _WORD)
+            _put_words(numbers, words)
+            frame = np.empty((n, at + 7), _WORD)
+            frame[:, :at] = lead
+            frame[:, at : at + 3] = words[:n]
+            frame[:, at + 3] = ord(",")
+            frame[:, at + 4 :] = words[n:]
+        return [_joined(pieces, [_squeeze(frame[i * n : (i + 1) * n])]) for i in range(rows)]
     if fmt == "json":
-        arrays = _json_number_arrays(_json_tokens(texts), rows + columns - 1, "  ")
-        fields = {"quantity": json.dumps(quantity), "times": times.json_array, "values": None}
+        # The object with a NUL where each array's lines go.
+        slot = "[\0\n  ]" if n else "[]"
+        fields = {"quantity": json.dumps(quantity), "times": "\0", "values": slot}
         if approx is not None:
-            fields["approx"] = arrays.pop()
-        files = []
-        for array in arrays:
-            fields["values"] = array
-            files.append(_json_object(fields))
-        return files
+            fields["approx"] = slot
+        pieces = _json_object(fields).encode().split(b"\0")
+        if not (n and rows):
+            return [_joined(pieces, [times.json_array])] * rows
+        frame = _json_frame(numbers, n)
+        arrays = [_squeeze(frame[i : i + n]) for i in range(0, numbers.size, n)]
+        if approx is not None:
+            return [_joined(pieces, [times.json_array] + arrays)]
+        return [_joined(pieces, [times.json_array, array]) for array in arrays]
     raise ValueError(f"fmt must be 'csv' or 'json', got {fmt!r}")
 
 
@@ -499,7 +557,8 @@ def matrix_to_csv(matrix: ProbabilityMatrix) -> str:
     """Bare n x n grid, row k, column j."""
     ends = np.full((matrix.n, matrix.n), ord(","), np.uint8)
     ends[:, -1:] = ord("\n")
-    return _squeeze([format_column(np.clip(matrix.entries, 0.0, 1.0)), ends.reshape(-1, 1)])
+    table = format_column(np.clip(matrix.entries, 0.0, 1.0))
+    return _squeeze(np.concatenate([table, ends.reshape(-1, 1)], axis=1)).decode("ascii")
 
 
 def matrix_to_json(matrix: ProbabilityMatrix) -> str:

@@ -71,9 +71,9 @@ class DegeneracyClass:
 class Spectrum:
     """Eigenvalues (ascending), orthonormal eigenvectors (column j pairs with
     eigenvalue j), and the degeneracy-class partition of indices 0..n-1 into
-    contiguous runs: the arrays class_starts (each class's first index) and
-    class_values, and the same classes as DegeneracyClass objects in
-    classes, made on its first use.
+    contiguous runs: the arrays class_starts (each class's first index),
+    class_sizes (its member count) and class_values, and the same classes as
+    DegeneracyClass objects in classes, made on its first use.
 
     Spectrum(n, eigenvalues, eigenvectors, classes, deg_tol) checks that the
     classes split 0..n-1 into contiguous runs, in order."""
@@ -83,6 +83,7 @@ class Spectrum:
     eigenvectors: np.ndarray
     deg_tol: float
     class_starts: np.ndarray = field(repr=False, compare=False)
+    class_sizes: np.ndarray = field(repr=False, compare=False)
     class_values: np.ndarray = field(repr=False, compare=False)
 
     def __init__(self, n, eigenvalues, eigenvectors, classes, deg_tol):
@@ -93,20 +94,20 @@ class Spectrum:
         if not (sizes.all() and np.array_equal(indices, np.arange(n))):
             raise ValueError("classes must split 0..n-1 into contiguous runs, in order")
         self._fill(n, np.array(eigenvalues, dtype=float), np.array(eigenvectors, dtype=float), deg_tol,
-                   np.cumsum(sizes) - sizes, np.fromiter(map(attrgetter("value"), classes), float, len(classes)))
+                   np.cumsum(sizes) - sizes, sizes, np.fromiter(map(attrgetter("value"), classes), float, len(classes)))
         self.__dict__["classes"] = classes
 
     @classmethod
-    def _of_partition(cls, n, eigenvalues, eigenvectors, deg_tol, class_starts, class_values):
+    def _of_partition(cls, n, eigenvalues, eigenvectors, deg_tol, class_starts, class_sizes, class_values):
         """A Spectrum of arrays that eigendecompose made and checked, taken
         as they are."""
         s = object.__new__(cls)
-        s._fill(n, eigenvalues, eigenvectors, deg_tol, class_starts, class_values)
+        s._fill(n, eigenvalues, eigenvectors, deg_tol, class_starts, class_sizes, class_values)
         return s
 
-    def _fill(self, n, eigenvalues, eigenvectors, deg_tol, class_starts, class_values):
+    def _fill(self, n, eigenvalues, eigenvectors, deg_tol, class_starts, class_sizes, class_values):
         arrays = {"eigenvalues": eigenvalues, "eigenvectors": eigenvectors,
-                  "class_starts": class_starts, "class_values": class_values}
+                  "class_starts": class_starts, "class_sizes": class_sizes, "class_values": class_values}
         for arr in arrays.values():
             arr.setflags(write=False)
         self.__dict__.update(arrays, n=n, deg_tol=deg_tol)  # past the frozen __setattr__
@@ -114,7 +115,7 @@ class Spectrum:
     @functools.cached_property
     def classes(self) -> tuple[DegeneracyClass, ...]:
         """The partition as DegeneracyClass objects, in order."""
-        return _classes(self.class_starts, np.append(self.class_starts[1:], self.n), self.class_values)
+        return _classes(self.class_starts, self.class_sizes, self.class_values)
 
 
 def _check_deg_tol(deg_tol: float) -> None:
@@ -155,8 +156,8 @@ def _fix_signs(vectors: np.ndarray) -> None:
 
 def _partition(w: np.ndarray, deg_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The classes of an ascending eigenvalue array (see
-    cluster_degeneracies) as arrays: first members, ends (last member + 1)
-    and values."""
+    cluster_degeneracies) as arrays: first members, member counts and
+    values."""
     gaps = w[1:] - w[:-1]
     if (gaps < 0).any():
         raise ValueError("eigenvalues must be sorted ascending")
@@ -166,15 +167,15 @@ def _partition(w: np.ndarray, deg_tol: float) -> tuple[np.ndarray, np.ndarray, n
     np.greater(gaps, deg_tol, out=cut[1:-1])
     bounds = cut.nonzero()[0]
     starts, ends = bounds[:-1], bounds[1:]
+    sizes = ends - starts
     if starts.size == w.size:
-        return starts, ends, w.copy()  # every class has one member
+        return starts, sizes, w.copy()  # every class has one member
     # A class's value is its members' sum over their count, which is how
     # np.mean forms it, bit for bit.  Up to two members np.add.reduceat sums
     # them as np.add.reduce does, save that np.add.reduce's zero start turns
     # a pair of -0.0 into 0.0; larger classes, rare in graph spectra, are
     # summed by np.add.reduce itself, whose order np.add.reduceat does not
     # follow.
-    sizes = ends - starts
     values = np.add.reduceat(w, starts)
     values[sizes == 2] += 0.0
     values /= sizes
@@ -190,11 +191,11 @@ def _partition(w: np.ndarray, deg_tol: float) -> tuple[np.ndarray, np.ndarray, n
             f"degeneracy class at {values[large[c]]:.15g} spreads {spreads[c]:.3e}, wider "
             f"than deg_tol {deg_tol:.3e}; lower --deg-tol to split it"
         )
-    return starts, ends, values
+    return starts, sizes, values
 
 
-def _classes(starts: np.ndarray, ends: np.ndarray, values: np.ndarray) -> tuple[DegeneracyClass, ...]:
-    members = map(tuple, map(range, starts.tolist(), ends.tolist()))
+def _classes(starts: np.ndarray, sizes: np.ndarray, values: np.ndarray) -> tuple[DegeneracyClass, ...]:
+    members = map(tuple, map(range, starts.tolist(), (starts + sizes).tolist()))
     return tuple(map(DegeneracyClass, values.tolist(), members))
 
 
@@ -253,10 +254,10 @@ def eigendecompose(matrix, deg_tol: float = DEFAULT_DEG_TOL) -> Spectrum:
             f"the eigen-residual, where noise could split a degeneracy class; raise --deg-tol"
         )
     _fix_signs(v)
-    starts, ends, values = _partition(w, deg_tol)
+    starts, sizes, values = _partition(w, deg_tol)
     if starts.size < n:  # some class has two or more members, which could merge
         norms = np.sqrt(np.square(residual, out=residual).sum(axis=0))
-        first, last = starts, ends - 1
+        first, last = starts, starts + sizes - 1
         spreads = w[last] - w[first]
         # max(-w[0], w[-1]) is max|w| for an ascending w.  Compared, not
         # divided: equal members with zero residuals pass.
@@ -270,7 +271,7 @@ def eigendecompose(matrix, deg_tol: float = DEFAULT_DEG_TOL) -> Spectrum:
                 f"its residual bound {limits[c]:.3e}, so it merges distinct eigenvalues; lower "
                 f"--deg-tol to split it"
             )
-    return Spectrum._of_partition(n, w, v, deg_tol, starts, values)
+    return Spectrum._of_partition(n, w, v, deg_tol, starts, sizes, values)
 
 
 def nearest_class(spectrum: Spectrum, value: float = 1.0) -> int:
@@ -285,7 +286,7 @@ def symmetry_degree(spectrum: Spectrum) -> int:
     if not spectrum.n:
         return 0
     c = nearest_class(spectrum, 1.0)
-    multiplicity = int(np.append(spectrum.class_starts, spectrum.n)[c + 1] - spectrum.class_starts[c])
+    multiplicity = int(spectrum.class_sizes[c])
     if abs(spectrum.class_values[c] - 1.0) > spectrum.deg_tol or multiplicity < 2:
         return 0
     return multiplicity

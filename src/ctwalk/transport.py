@@ -198,10 +198,6 @@ def _class_sum(s: Spectrum, x) -> np.ndarray:
     return np.add.reduceat(x, s.class_starts, axis=-1)
 
 
-def _class_mults(s: Spectrum) -> np.ndarray:
-    return _class_sum(s, np.ones(s.n))
-
-
 def _weighted(weights: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """weights @ phases, with the weights made complex for a quantum table."""
     return (weights.astype(complex) if np.iscomplexobj(phases) else weights) @ phases
@@ -243,7 +239,7 @@ def from_phases(s: Spectrum, quantity: str, phases: np.ndarray, j: int) -> np.nd
     elif quantity == "quantum_avg_return":
         values = _weighted(_class_sum(s, s.eigenvectors**2), phases)
     else:
-        values = _weighted(_class_mults(s), phases) / s.n
+        values = _weighted(s.class_sizes, phases) / s.n
     del phases
     if PHASE_KINDS[quantity] == "quantum":
         values = np.abs(values) ** 2
@@ -259,14 +255,13 @@ def lta_matrix(s: Spectrum) -> ProbabilityMatrix:
     (q*q)(q*q)^T, so the simple classes together are one matrix product; only
     the degenerate classes build their projector.  Symmetric; rows and
     columns sum to 1."""
-    bounds = np.append(s.class_starts, s.n)
-    sizes = np.diff(bounds)
+    sizes = s.class_sizes
     squares = s.eigenvectors[:, s.class_starts[sizes == 1]] ** 2
     acc = squares @ squares.T
     acc = 0.5 * (acc + acc.T)
     degenerate = sizes > 1
-    for start, stop in zip(bounds[:-1][degenerate].tolist(), bounds[1:][degenerate].tolist()):
-        qc = s.eigenvectors[:, start:stop]
+    for start, size in zip(s.class_starts[degenerate].tolist(), sizes[degenerate].tolist()):
+        qc = s.eigenvectors[:, start : start + size]
         proj = qc @ qc.T
         proj = 0.5 * (proj + proj.T)
         acc += proj**2
@@ -282,7 +277,7 @@ def chi_bar(s: Spectrum) -> float:
 def chi_bar_lb(s: Spectrum) -> float:
     """Eigenvalue-only lower bound of chi-bar: (1/N^2) sum of squared class
     multiplicities; a sum of integers below 2^53, so exact until the division."""
-    return float(np.sum(_class_mults(s) ** 2)) / s.n**2
+    return float(np.sum(s.class_sizes**2)) / s.n**2
 
 
 def approx_alpha_bar_sq(s: Spectrum, class_index: int, t):
@@ -295,7 +290,7 @@ def approx_alpha_bar_sq(s: Spectrum, class_index: int, t):
     if not (0 <= class_index < s.class_values.size):
         raise ValueError(f"class_index must be in 0..{s.class_values.size - 1}, got {class_index}")
     ts = np.asarray(t, dtype=float)
-    mult, vals = _class_mults(s), s.class_values
+    mult, vals = s.class_sizes, s.class_values
     d_l, e_l = mult[class_index], vals[class_index]
     others = np.arange(s.class_values.size) != class_index
     cosines = np.cos(np.multiply.outer(vals[others] - e_l, ts))

@@ -15,7 +15,7 @@ from ctwalk.graphs import (
     laplacian,
     read_edge_list,
 )
-from ctwalk.spectral import eigendecompose
+from ctwalk.spectral import eigendecompose, nearest_class
 from ctwalk.transport import NODE_ROW_QUANTITIES, PAIR_QUANTITIES, PHASE_KINDS, QUANTITIES
 
 from oracles import transition_matrix
@@ -227,6 +227,38 @@ class TestEvolve:
                         "values": [float(f"{x:.15g}") for x in values],
                     }, indent=2) + "\n"
                 assert (tmp_path / f"{quantity}_k{k}_j2.{fmt}").read_text() == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_exponent_times_match_reference(self, tmp_path, capsys, fmt):
+        # Times in exponent notation: each CSV line leads with "\n1e+15,"
+        # and the like, and JSON writes 1e+15 as 1000000000000000.0.
+        times = "1e15:2e15:1e14"
+        code, _, _ = run(capsys, "evolve", "--graph", "path:3", "--times", times, "--format", fmt,
+                         "--quantities", ",".join(QUANTITIES), "--out", str(tmp_path))
+        assert code == 0
+        s = eigendecompose(laplacian(gen_path(3)))
+        ts = parse_times(times).times()
+        approx = transport.approx_alpha_bar_sq(s, nearest_class(s, 1.0), ts)
+        expected = {}
+        for quantity in PHASE_KINDS:
+            table = transport.from_phases(s, quantity, transport.class_phases(s, ts, PHASE_KINDS[quantity]), 1)
+            names = [f"{quantity}_k{k}_j1" for k in (1, 2, 3)] if quantity in PAIR_QUANTITIES else [quantity]
+            for name, values in zip(names, np.clip(table, 0.0, 1.0)):
+                columns = {"times": ts, "values": values}
+                if quantity == "alpha_bar_sq":
+                    columns["approx"] = approx
+                expected[f"{name}.{fmt}"] = (quantity, columns)
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(expected)
+        for name, (quantity, columns) in expected.items():
+            if fmt == "csv":
+                header = "t,value,approx\n" if len(columns) == 3 else "t,value\n"
+                text = header + "".join(",".join(f"{x:.15g}" for x in row) + "\n"
+                                        for row in zip(*columns.values()))
+            else:
+                obj = {"quantity": quantity}
+                obj.update({key: [float(f"{x:.15g}") for x in column] for key, column in columns.items()})
+                text = json.dumps(obj, indent=2) + "\n"
+            assert (tmp_path / name).read_bytes() == text.encode(), name
 
     @pytest.mark.parametrize("graph, times, quantities, blocks", [
         ("star:40", "0:50:0.01", "quantum_pair", [3] * 13 + [1]),

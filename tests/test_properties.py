@@ -113,6 +113,17 @@ def test_return_series_read_one_partition(g):
 
 
 @PROPERTY_SETTINGS
+@given(graphs)
+def test_class_sizes_match_class_starts(g):
+    # The partition's member counts cover 0..n-1 and each class starts
+    # where the one before it ends.
+    s = eigendecompose(laplacian(g))
+    assert s.class_sizes.sum() == s.n and (s.class_sizes > 0).all()
+    assert np.array_equal(s.class_sizes, np.diff(np.append(s.class_starts, s.n)))
+    assert s.class_sizes.tolist() == [cls.multiplicity for cls in s.classes]
+
+
+@PROPERTY_SETTINGS
 @given(connected_graphs(extra_edges=False, max_n=60))
 def test_symmetry_degree_is_exact_multiplicity(g):
     # D_l is the multiplicity of eigenvalue 1 when it is degenerate, and 0

@@ -44,7 +44,7 @@ class TestNumbers:
         ser = TransportSeries(
             "quantum_pair", np.array([0.0, 1.0, 2.0]), np.array([-5e-10, 0.5, 1.0 + 5e-10])
         )
-        assert _csv(ser) == "t,value\n0,0\n1,0.5\n2,1\n"
+        assert _csv(ser) == b"t,value\n0,0\n1,0.5\n2,1\n"
         m = ProbabilityMatrix(2, np.array([[1.0 + 5e-10, -5e-10], [-5e-10, 1.0]]), "lta")
         assert matrix_to_csv(m) == "1,0\n0,1\n"
 
@@ -112,8 +112,37 @@ def _json(ser, approx=None):
 
 
 def _fstring_csv(header, *columns):
+    """The CSV file of the columns, as bytes, from f-strings."""
     rows = [",".join(f"{x:.15g}" for x in row) for row in zip(*columns)]
-    return "\n".join([header] + rows) + "\n"
+    return ("\n".join([header] + rows) + "\n").encode()
+
+
+def _reference_files(fmt, quantity, ts, table, approx=None):
+    """The files render_series must write, as bytes, from f-strings and
+    json.dumps: probabilities clipped, the approximation column as given."""
+    table = np.asarray(table, dtype=float)
+    if quantity != "approx_alpha_bar_sq":
+        table = np.clip(table, 0.0, 1.0)
+    extra = [] if approx is None else [approx]
+    if fmt == "csv":
+        header = "t,value" if approx is None else "t,value,approx"
+        return [_fstring_csv(header, ts, row, *extra) for row in table]
+    files = []
+    for row in table:
+        obj = {"quantity": quantity, "times": ts, "values": row}
+        if approx is not None:
+            obj["approx"] = approx
+        obj = {key: value if key == "quantity" else [float(f"{x:.15g}") for x in value]
+               for key, value in obj.items()}
+        files.append(_reference(obj).encode())
+    return files
+
+
+def _assert_series_files(fmt, quantity, ts, table, approx=None):
+    """render_series writes the reference files, with no NUL left in them."""
+    files = render_series(fmt, quantity, TimeColumn(ts), table, approx)
+    assert files == _reference_files(fmt, quantity, ts, table, approx)
+    assert not any(b"\0" in content for content in files)
 
 
 class TestOneShotFormatter:
@@ -221,12 +250,17 @@ class TestVectorisedFormatter:
                       np.nextafter(1e-250, 1.0), np.nextafter(1e-250, 0.0),
                       np.nextafter(1e250, 0.0), np.nextafter(1e250, np.inf)]),
         _random_magnitudes(5000, 13),
-    ], ids=["edge", "powers", "negative-powers", "ties", "range-ends", "random"])
+        # Formatted _BLOCK_NUMBERS at a time, the last 100 by %.
+        _random_magnitudes(serialize._BLOCK_NUMBERS + 100, 19),
+    ], ids=["edge", "powers", "negative-powers", "ties", "range-ends", "random", "past-block"])
     def test_matches_fstring(self, values):
         assert values.size >= serialize._VECTOR_MIN
         assert format_numbers(values) == [f"{x:.15g}" for x in values]
-        obj = json.loads(render_series("json", "approx_alpha_bar_sq", TimeColumn(values), [values])[0])
-        assert obj["values"] == _rounded(values)
+        # The values as times, as a two-row block of series, and as the
+        # approximation column beside clipped probabilities, in each format.
+        for fmt in ("csv", "json"):
+            _assert_series_files(fmt, "approx_alpha_bar_sq", values, [values, values[::-1]])
+            _assert_series_files(fmt, "alpha_bar_sq", values, [np.abs(values[::-1])], values)
 
     def test_non_finite_texts(self):
         values = _past_cutoff([np.nan, np.inf, -np.inf, 0.5, -0.0])
@@ -265,7 +299,7 @@ class TestVectorisedFormatter:
             obj = {"quantity": "approx_alpha_bar_sq", "times": _rounded(ts), "values": _rounded(approx)}
         assert (approx < 0).any()
         assert render_series("csv", *args) == [csv]
-        assert render_series("json", *args) == [_reference(obj)]
+        assert render_series("json", *args) == [_reference(obj).encode()]
 
 
 class TestJsonWriter:
@@ -286,18 +320,18 @@ class TestJsonWriter:
             [out] = render_series("json", "approx_alpha_bar_sq", TimeColumn(times), [values])
             obj = {"quantity": "approx_alpha_bar_sq", "times": _rounded(times),
                    "values": _rounded(values)}
-        assert out == _reference(obj)
+        assert out == _reference(obj).encode()
 
     def test_series_clips_probabilities_like_csv(self):
         times = np.arange(len(self.VALUES), dtype=float)
         [out] = render_series("json", "quantum_pair", TimeColumn(times), [self.VALUES])
         clipped = np.clip(self.VALUES, 0.0, 1.0)
         assert out == _reference({"quantity": "quantum_pair", "times": _rounded(times),
-                                  "values": _rounded(clipped)})
+                                  "values": _rounded(clipped)}).encode()
 
     def test_empty_series(self):
         [out] = render_series("json", "alpha_bar_sq", TimeColumn([]), np.zeros((1, 0)))
-        assert out == _reference({"quantity": "alpha_bar_sq", "times": [], "values": []})
+        assert out == _reference({"quantity": "alpha_bar_sq", "times": [], "values": []}).encode()
 
     @pytest.mark.parametrize("time", [None, 0.0, 2.5, 1e15, 1.2345e15, 1e16, 5e-324])
     def test_matrix_matches_json_dumps(self, time):
@@ -317,34 +351,17 @@ class TestJsonWriter:
         m = ProbabilityMatrix(0, np.zeros((0, 0)), "lta")
         obj = {"quantity": "lta", "n": 0, "labels": [], "time": None, "entries": []}
         assert matrix_to_json(m) == _reference(obj)
+        assert matrix_to_csv(m) == ""
 
     @pytest.mark.parametrize("size", [len(JSON_EDGE_VALUES), serialize._VECTOR_MIN + 3],
                              ids=["percent-path", "numpy-path"])
-    def test_tokens_at_every_width(self, size):
-        """_json_tokens tests its rows eight bytes at a time when the table's
-        width is a multiple of 8 and byte by byte otherwise; at each width
-        every token is json.dumps of the float its text parses back to."""
+    def test_json_numbers_match_json_dumps(self, size):
+        """Each token is json.dumps of the float its text parses back to:
+        below _VECTOR_MIN values by the rule itself, one text at a time,
+        and from the formatter's JSON words above."""
         values = np.concatenate([JSON_EDGE_VALUES, _random_magnitudes(size - len(JSON_EDGE_VALUES), 23)])
-        table = serialize.format_column(values)
         expected = [json.dumps(float(text)) for text in format_numbers(values)]
-        width = table.shape[1]
-        assert (width % 8 != 0) == (size < serialize._VECTOR_MIN)
-        for padded_width in range(width, width + 9):
-            padded = np.zeros((len(table), padded_width), np.uint8)
-            padded[:, :width] = table
-            assert serialize._texts(serialize._json_tokens(padded)) == expected
-        # Below _VECTOR_MIN values the tokens come from the rule itself, one
-        # text at a time, and not from a token table.
         assert serialize._json_numbers(values) == expected
-
-    def test_token_width_without_repr(self):
-        """Tokens are the text table's width plus two bytes for ".0", and
-        widen to hold a repr only when some text goes through one."""
-        for values in (np.linspace(0.0, 50.0, 5001), [1.0, 0.5, 1e-05, 1e16]):
-            table = serialize.format_column(values)
-            assert serialize._json_tokens(table).shape[1] == table.shape[1] + 2
-        table = serialize.format_column([1.0, 1e15])
-        assert serialize._json_tokens(table).shape[1] == max(table.shape[1], 24) + 2
 
     @pytest.mark.parametrize("value", JSON_EDGE_VALUES)
     def test_report_matches_json_dumps(self, value):
@@ -372,44 +389,55 @@ class TestBlockRendering:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("quantity", ["quantum_pair", "approx_alpha_bar_sq"])
-    def test_block_matches_rows_alone(self, fmt, quantity):
-        # Rows whose own text tables differ in width: short decimals, full
+    @pytest.mark.parametrize("ts", [
+        np.linspace(0.0, 3.0, 300),  # times such as 0.0100334448160535: three lead words
+        1e15 + 1e14 * np.arange(11),  # exponent texts, "1e+15" and "1.1e+15"
+        np.arange(256) * 0.01,
+        np.arange(255) * 0.01,  # a row alone is formatted by %, the block in numpy
+        np.array([0.5]),
+        np.array([]),
+    ], ids=["linspace", "exponent", "256", "255", "1", "0"])
+    def test_block_matches_rows_alone(self, fmt, quantity, ts):
+        # Rows whose own texts differ in width: short decimals, full
         # 15-digit texts, exponents down to subnormals (repr tokens), values
-        # outside [0, 1], and the e+15 texts that JSON writes in full.
-        ts = np.linspace(0.0, 3.0, 300)
+        # outside [0, 1] and the e+15 texts that JSON writes in full, and
+        # magnitudes from 1e-300 to 1e300 of both signs, exponent and fixed
+        # texts side by side.
+        n = ts.size
         table = np.array([
-            np.full(300, 0.5),
-            np.cos(ts) ** 2,
-            10.0 ** -np.linspace(1.0, 323.0, 300),
-            np.linspace(-2.0, 1e15, 300),
-        ])
+            np.full(n, 0.5),
+            np.cos(np.linspace(0.0, 3.0, n)) ** 2,
+            10.0 ** -np.linspace(1.0, 323.0, n),
+            np.linspace(-2.0, 1e15, n),
+            np.geomspace(1e-300, 1e300, n) * (-1.0) ** np.arange(n),
+        ]).reshape(5, n)
         files = render_series(fmt, quantity, TimeColumn(ts), table)
         assert files == [render_series(fmt, quantity, TimeColumn(ts), [row])[0] for row in table]
         assert render_series(fmt, quantity, TimeColumn(ts), table[:0]) == []
-        if fmt == "csv" and quantity == "quantum_pair":
-            assert files[3] == _fstring_csv("t,value", ts, np.clip(table[3], 0.0, 1.0))
+        _assert_series_files(fmt, quantity, ts, table)
+        _assert_series_files(fmt, "alpha_bar_sq", ts, table[1:2], table[4])
 
 
 class TestSeriesExport:
     def test_csv_layout(self):
         ser = TransportSeries("alpha_bar_sq", np.array([0.0, 0.5]), np.array([1.0, 0.25]))
-        assert _csv(ser) == "t,value\n0,1\n0.5,0.25\n"
+        assert _csv(ser) == b"t,value\n0,1\n0.5,0.25\n"
 
     def test_csv_clamps_probability_tags(self):
         ser = TransportSeries("alpha_bar_sq", np.array([0.0]), np.array([1.0 + 5e-10]))
-        assert _csv(ser) == "t,value\n0,1\n"
+        assert _csv(ser) == b"t,value\n0,1\n"
 
     def test_csv_keeps_approx_unclamped(self):
         ser = TransportSeries("approx_alpha_bar_sq", np.array([0.0]), np.array([-0.28]))
-        assert _csv(ser) == "t,value\n0,-0.28\n"
+        assert _csv(ser) == b"t,value\n0,-0.28\n"
 
     def test_csv_with_approx_column(self):
         ts = np.array([0.0, 1.0])
         ser = TransportSeries("alpha_bar_sq", ts, np.array([1.0, 0.5]))
         approx = TransportSeries("approx_alpha_bar_sq", ts, np.array([0.96, 0.4]))
         out = _csv(ser, approx.values)
-        assert out.splitlines()[0] == "t,value,approx"
-        assert out.splitlines()[1] == "0,1,0.96"
+        assert out.splitlines()[0] == b"t,value,approx"
+        assert out.splitlines()[1] == b"0,1,0.96"
 
     def test_json_roundtrip(self):
         ts = np.array([0.0, 1.0])

@@ -212,6 +212,7 @@ class TestClustering:
         s = eigendecompose(laplacian(graph))
         rebuilt = Spectrum(s.n, s.eigenvalues, s.eigenvectors, s.classes, s.deg_tol)
         assert np.array_equal(rebuilt.class_starts, s.class_starts)
+        assert np.array_equal(rebuilt.class_sizes, s.class_sizes)
         assert rebuilt.class_values.tobytes() == s.class_values.tobytes()
         assert rebuilt.classes == s.classes == tuple(cluster_degeneracies(s.eigenvalues))
 
