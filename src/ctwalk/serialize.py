@@ -4,15 +4,15 @@ Numbers are rendered with 15 significant digits, fixed column order, LF line
 endings, so identical configurations produce byte-identical files.
 
 There is one number formatter, ``_put_words``.  It writes the text of
-``'%.15g' % x``, or for JSON its token, as 8-byte words, byte j of a word at
-bits 8j..8j+7, with NUL bytes in any unused places, which ``bytes.translate``
-deletes when the words are written out.  Four words hold a prefix (a sign,
-and the "0." and zeros of fixed notation below 1), two mantissa words and a
-suffix (an exponent text, or a JSON token's ".0"): that is the text table of
-``format_column``, which the matrix and number-list writers read.  A line of
-a series file holds three: a text with a suffix has at most a sign before
-its mantissa, so its mantissa and suffix move up one byte, 1 + 16 + 5 bytes
-against 6 + 16 in fixed notation.
+``'%.15g' % x``, or for JSON its token, as three 8-byte words, byte j of a
+word at bits 8j..8j+7, with NUL bytes in any unused places, which
+``bytes.translate`` deletes when the words are written out.  The words hold
+a prefix (a sign, and the "0." and zeros of fixed notation below 1), 16
+mantissa bytes and a suffix (an exponent text, or a JSON token's ".0"): a
+text with a suffix has at most a sign before its mantissa, so its mantissa
+and suffix move up one byte, 1 + 16 + 5 bytes against 6 + 16 in fixed
+notation.  A line of a series file holds them in place; ``format_column``
+hands them to the matrix and number-list writers as a text table.
 
 There is one series serializer, ``render_series``.  It takes a (rows, T)
 table of series, one file per row, and the time grid as a ``TimeColumn``,
@@ -260,23 +260,14 @@ def _percent_texts(x: np.ndarray) -> list[str]:
 
 def _put_words(x: np.ndarray, words: np.ndarray, json_tokens: bool = False) -> None:
     """Write the %.15g text of each value of a 1-d array (with json_tokens,
-    its JSON token) into the rows of words, an (x.size, 4) or (x.size, 3)
-    uint64 array or view, with NULs in any unused bytes.  Four words are
-    the prefix, two mantissa words and the suffix; three are the same
-    packed as the module docstring describes.  Longer inputs are written
-    _BLOCK_NUMBERS numbers at a time, so that the temporaries stay in
-    cache."""
-    if x.size > _BLOCK_NUMBERS:
-        for start in range(0, x.size, _BLOCK_NUMBERS):
-            block = slice(start, start + _BLOCK_NUMBERS)
-            _put_words(x[block], words[block], json_tokens)
-        return
-    width = words.shape[1]
+    its JSON token) into the rows of words, an (x.size, 3) uint64 array or
+    view, laid out as the module docstring describes, with NULs in any
+    unused bytes."""
     if x.size < _VECTOR_MIN:
         texts = _percent_texts(x)
         if json_tokens:
             texts = map(_json_token, texts)
-        words[:] = _words(list(texts), 8 * width).reshape(-1, width)
+        words[:] = _words(list(texts), 24).reshape(-1, 3)
         return
     d, e, unsure = _digits_and_exponent(x)
     group_texts, masks, prefixes, suffixes = _text_tables()
@@ -329,18 +320,14 @@ def _put_words(x: np.ndarray, words: np.ndarray, json_tokens: bool = False) -> N
     prefix = np.take(prefixes, e + _E_COUNT * np.signbit(x))
     ends = np.take(suffixes, e + _E_COUNT * point if json_tokens else e + _E_COUNT)
     del e, point
-    if width == 4:
-        words[:, 3] = ends
-    else:
-        # A text with a suffix has at most a sign before its mantissa, so its
-        # mantissa and suffix move up one byte, into three words: 1 + 16 + 5
-        # bytes at most, against 6 + 16 in fixed notation.
-        rows = np.flatnonzero(ends != 0)
-        if rows.size:
-            high, low = word1[rows], word2[rows]
-            prefix[rows] |= high << 8
-            word1[rows] = (high >> 56) | (low << 8)
-            word2[rows] = (low >> 56) | (ends[rows] << 8)
+    # A text with a suffix has at most a sign before its mantissa, so its
+    # mantissa and suffix move up one byte, into three words.
+    rows = np.flatnonzero(ends != 0)
+    if rows.size:
+        high, low = word1[rows], word2[rows]
+        prefix[rows] |= high << 8
+        word1[rows] = (high >> 56) | (low << 8)
+        word2[rows] = (low >> 56) | (ends[rows] << 8)
     words[:, 0] = prefix
     words[:, 1] = word1
     words[:, 2] = word2
@@ -349,7 +336,7 @@ def _put_words(x: np.ndarray, words: np.ndarray, json_tokens: bool = False) -> N
         texts = [_NUMBER % v for v in x[rows].tolist()]
         if json_tokens:
             texts = map(_json_token, texts)
-        words[rows] = _words(list(texts), 8 * width).reshape(-1, width)
+        words[rows] = _words(list(texts), 24).reshape(-1, 3)
 
 
 def format_column(values) -> np.ndarray:
@@ -359,7 +346,7 @@ def format_column(values) -> np.ndarray:
     x = np.asarray(values, dtype=float).ravel()
     # Each word column is written as one contiguous row, and words no number
     # uses are left out (all but one when there are no numbers).
-    words = np.empty((4, x.size), _WORD)
+    words = np.empty((3, x.size), _WORD)
     _put_words(x, words.T)
     used = [word for word in words if word.any()]
     return np.stack(used or [words[0]], axis=1).view(np.uint8)
@@ -514,7 +501,6 @@ def render_series(fmt: str, quantity: str, times: TimeColumn, table, approx=None
         raise ValueError(f"{quantity}: series values must be finite")
     if quantity != "approx_alpha_bar_sq":
         values = np.clip(values, 0.0, 1.0)
-    numbers = values.ravel() if approx is None else np.concatenate([values[0], approx])
     if fmt == "csv":
         pieces = [b"t,value" if approx is None else b"t,value,approx", b"\n"]
         if not (n and rows):
@@ -523,18 +509,12 @@ def render_series(fmt: str, quantity: str, times: TimeColumn, table, approx=None
         # approximation column a ',' word and its three words.
         lead = times.csv_lead
         at = lead.shape[1]
-        if approx is None:
-            frame = np.empty((rows * n, at + 3), _WORD)
-            frame.reshape(rows, n, -1)[:, :, :at] = lead
-            _put_words(numbers, frame[:, at:])
-        else:
-            words = np.empty((2 * n, 3), _WORD)
-            _put_words(numbers, words)
-            frame = np.empty((n, at + 7), _WORD)
-            frame[:, :at] = lead
-            frame[:, at : at + 3] = words[:n]
+        frame = np.empty((rows * n, at + (3 if approx is None else 7)), _WORD)
+        frame.reshape(rows, n, -1)[:, :, :at] = lead
+        _put_words(values.ravel(), frame[:, at : at + 3])
+        if approx is not None:
             frame[:, at + 3] = ord(",")
-            frame[:, at + 4 :] = words[n:]
+            _put_words(approx, frame[:, at + 4 :])
         return [_joined(pieces, [_squeeze(frame[i * n : (i + 1) * n])]) for i in range(rows)]
     if fmt == "json":
         # The object with a NUL where each array's lines go.
@@ -545,6 +525,7 @@ def render_series(fmt: str, quantity: str, times: TimeColumn, table, approx=None
         pieces = _json_object(fields).encode().split(b"\0")
         if not (n and rows):
             return [_joined(pieces, [times.json_array])] * rows
+        numbers = values.ravel() if approx is None else np.concatenate([values[0], approx])
         frame = _json_frame(numbers, n)
         arrays = [_squeeze(frame[i : i + n]) for i in range(0, numbers.size, n)]
         if approx is not None:

@@ -250,7 +250,7 @@ class TestVectorisedFormatter:
                       np.nextafter(1e-250, 1.0), np.nextafter(1e-250, 0.0),
                       np.nextafter(1e250, 0.0), np.nextafter(1e250, np.inf)]),
         _random_magnitudes(5000, 13),
-        # Formatted _BLOCK_NUMBERS at a time, the last 100 by %.
+        # Longer than a series block, formatted by one call.
         _random_magnitudes(serialize._BLOCK_NUMBERS + 100, 19),
     ], ids=["edge", "powers", "negative-powers", "ties", "range-ends", "random", "past-block"])
     def test_matches_fstring(self, values):
