@@ -166,24 +166,28 @@ def cmd_evolve(config: RunConfig) -> int:
 
     selected = [q for q in QUANTITIES if q in config.quantities
                 and not (q == "approx_alpha_bar_sq" and co_emit)]
-    last_read = {transport.PHASE_KINDS.get(q): q for q in selected}
-    for quantity in selected:
-        if quantity == "approx_alpha_bar_sq":
-            emit(quantity, [quantity], [transport.approx_alpha_bar_sq(s, approx_class, ts)])
-            continue
-        kind = transport.PHASE_KINDS[quantity]
+    # The approximation is read from the quantum table, as alpha_bar_sq is.
+    kinds = {q: transport.PHASE_KINDS.get(q, "quantum") for q in selected}
+    last_read = {kind: q for q, kind in kinds.items()}
+
+    def table(quantity: str, kind: str):
+        # The last read of a kind hands its table over, so that it is freed
+        # before the files are written.
+        return phases.pop(kind) if last_read[kind] == quantity else phases[kind]
+
+    for quantity, kind in kinds.items():
         if kind not in phases:
             phases[kind] = transport.class_phases(s, ts, kind)
+        if quantity == "approx_alpha_bar_sq":
+            emit(quantity, [quantity], [transport.approx_alpha_bar_sq(s, approx_class, table(quantity, kind))])
+            continue
         names = [quantity]
         if quantity in PAIR_QUANTITIES:
             names = [f"{quantity}_k{k}_j{j}" for k in range(1, s.n + 1)]
         approx = None
         if quantity == "alpha_bar_sq" and co_emit:
-            approx = transport.approx_alpha_bar_sq(s, approx_class, ts)
-        # The last read of a kind hands its table over, for from_phases to free.
-        emit(quantity, names, transport.from_phases(
-            s, quantity, phases.pop(kind) if last_read[kind] == quantity else phases[kind], j,
-        ), approx)
+            approx = transport.approx_alpha_bar_sq(s, approx_class, phases[kind])
+        emit(quantity, names, transport.from_phases(s, quantity, table(quantity, kind), j), approx)
     for path in written:
         print(path)
     return EXIT_OK

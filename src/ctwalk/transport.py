@@ -11,14 +11,17 @@ class by one reduction, ``_class_sum``, and the phases taken at the class
 values, so pi-bar(t) >= |alpha-bar(t)|^2 and the Cesaro limit of a pair
 series is chi_{k,j} by construction.
 
-Time phases e^{-Et} and e^{-iEt} are evaluated in one place,
-``class_phases``, which gives the (C, T) table of one kind at the C class
-values.  ``from_phases`` reads any of the five quantities in PHASE_KINDS from
-the table of its kind, all n pair series of one start node or one average
-row at a time, so a caller that holds one table per kind evaluates each kind
-once however many quantities it reads.  ``series`` wraps one non-pair
-quantity on a TimeGrid as a TransportSeries.  The transition probabilities
-at one time t are the pair tables of a 0-d t, one start node at a time.
+Time phases are evaluated in one place, ``class_phases``, the only exp, cos
+or sin of this package: at the C class values and T times, the classical
+table e^{-E_c t} of shape (C, T), or the quantum table
+[cos(E_c t), sin(E_c t)] of shape (2, C, T), e^{-iE_c t} in real arithmetic.
+``from_phases`` reads any of the five quantities in PHASE_KINDS from the
+table of its kind, all n pair series of one start node or one average row at
+a time, so a caller that holds one table per kind evaluates each kind once
+however many quantities it reads; ``approx_alpha_bar_sq`` reads the quantum
+table too.  ``series`` wraps one non-pair quantity on a TimeGrid as a
+TransportSeries.  The transition probabilities at one time t are the pair
+tables of a 0-d t, one start node at a time.
 
 A 0-d time gives tables without the time axis.  Node labels are 1-based.
 """
@@ -43,15 +46,10 @@ QUANTITIES = (
 
 PAIR_QUANTITIES = ("classical_pair", "quantum_pair")
 
-# The quantities whose largest table has one row per node rather than one per
-# degeneracy class: the pairs, and the node-averaged quantum return, whose
-# per-node amplitudes are squared before the average.
-NODE_ROW_QUANTITIES = PAIR_QUANTITIES + ("quantum_avg_return",)
-
 MATRIX_QUANTITIES = ("lta",)
 
-# The phase kind each quantity read from a class phase table is read from;
-# the cosine approximation is not one of them.
+# The phase kind each quantity that from_phases reads is read from; the
+# cosine approximation, read by approx_alpha_bar_sq, is not one of them.
 PHASE_KINDS = {
     "classical_pair": "classical",
     "quantum_pair": "quantum",
@@ -72,10 +70,11 @@ _GRID_SNAP = 1e-9
 # is rejected before any array is allocated.
 MAX_GRID_POINTS = 10**6
 
-# Largest accepted (rows, T) table: n rows when a NODE_ROW_QUANTITIES member
-# is read, one per degeneracy class otherwise.  It admits MAX_NODES = 4096
-# nodes on the default 5001-point grid (2.05e7 entries; a quantum table is
-# 16 B an entry), and a run over it is rejected before any table is allocated.
+# Largest accepted (rows, T) table: n rows when a PAIR_QUANTITIES member is
+# read, one per degeneracy class otherwise.  It admits MAX_NODES = 4096 nodes
+# on the default 5001-point grid (2.05e7 entries; a quantum entry is a cosine
+# and a sine, 16 B), and a run over it is rejected before any table is
+# allocated.
 MAX_TABLE_ENTRIES = 25 * 10**6
 
 
@@ -198,27 +197,33 @@ def _class_sum(s: Spectrum, x) -> np.ndarray:
     return np.add.reduceat(x, s.class_starts, axis=-1)
 
 
-def _weighted(weights: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """weights @ phases, with the weights made complex for a quantum table."""
-    return (weights.astype(complex) if np.iscomplexobj(phases) else weights) @ phases
-
-
 def class_phases(s: Spectrum, t, kind: str) -> np.ndarray:
-    """The (C, T) table of class phases e^{-E_c t} (classical) or
-    e^{-i E_c t} (quantum) that from_phases reads quantities of that kind from.
-    Evaluated in place, so the table is the only array of its size alive on
-    return."""
+    """The table of class phases that from_phases reads quantities of that
+    kind from: e^{-E_c t} (classical), of shape (C, T), or
+    [cos(E_c t), sin(E_c t)] (quantum), of shape (2, C, T), whose angles are
+    np.multiply.outer(class_values, t).  Evaluated in place, so the table is
+    the only array of its size alive on return."""
     ts = np.asarray(t, dtype=float)
     if kind == "classical":
         if np.any(ts < 0):
             raise ValueError("classical propagation requires t >= 0 (semigroup, not a group)")
         phases = np.multiply.outer(s.class_values, ts)
         np.negative(phases, out=phases)
-    elif kind == "quantum":
-        phases = -1j * np.multiply.outer(s.class_values, ts)
-    else:
-        raise ValueError(f"kind must be 'classical' or 'quantum', got {kind!r}")
-    return np.exp(phases, out=phases)
+        return np.exp(phases, out=phases)
+    if kind == "quantum":
+        phases = np.empty((2,) + s.class_values.shape + ts.shape)
+        np.multiply.outer(s.class_values, ts, out=phases[1])
+        np.cos(phases[1], out=phases[0])
+        np.sin(phases[1], out=phases[1])
+        return phases
+    raise ValueError(f"kind must be 'classical' or 'quantum', got {kind!r}")
+
+
+def _cos_sin(weights: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """[weights @ cos, weights @ sin] of a quantum table, in one array: two
+    real matrix products, the time axis (absent for a 0-d t) kept last."""
+    products = weights @ phases.reshape(2, phases.shape[1], -1)
+    return products.reshape((2,) + weights.shape[:-1] + phases.shape[2:])
 
 
 def from_phases(s: Spectrum, quantity: str, phases: np.ndarray, j: int) -> np.ndarray:
@@ -227,24 +232,34 @@ def from_phases(s: Spectrum, quantity: str, phases: np.ndarray, j: int) -> np.nd
     j for a pair quantity, one row for an average (j is not read).  Checked
     against the probability bounds and left unclamped.
 
-    A caller that passes its last reference to the table has it freed once
-    the weights have been applied, before the squares are taken."""
+    A quantum quantity |w . e^{-iEt}|^2 is (w . cos)^2 + (w . sin)^2, squared
+    and summed in place.  pi-bar(t) = (1/N) sum_k |sum_c W_kc e^{-iE_c t}|^2
+    is read as the Gram form (1/N) sum_c cos*(G cos) + sin*(G sin) of the
+    C x C matrix G = W^T W, so no n x T table is built for it."""
     if quantity not in PHASE_KINDS:
         raise ValueError(f"from_phases needs one of {tuple(PHASE_KINDS)}, got {quantity!r}")
-    if quantity in PAIR_QUANTITIES:
-        if not (1 <= j <= s.n):
-            raise ValueError(f"j must be in 1..{s.n}, got {j}")
-        # Class-summed <k|q_n><q_n|j>, one row per target k.
-        values = _weighted(_class_sum(s, s.eigenvectors * s.eigenvectors[j - 1]), phases)
-    elif quantity == "quantum_avg_return":
-        values = _weighted(_class_sum(s, s.eigenvectors**2), phases)
+    if quantity == "classical_avg_return":
+        values = (s.class_sizes @ phases) / s.n
     else:
-        values = _weighted(s.class_sizes, phases) / s.n
-    del phases
-    if PHASE_KINDS[quantity] == "quantum":
-        values = np.abs(values) ** 2
-    if quantity == "quantum_avg_return":
-        values = np.mean(values, axis=0)
+        if quantity in PAIR_QUANTITIES:
+            if not (1 <= j <= s.n):
+                raise ValueError(f"j must be in 1..{s.n}, got {j}")
+            # Class-summed <k|q_n><q_n|j>, one row per target k.
+            weights = _class_sum(s, s.eigenvectors * s.eigenvectors[j - 1])
+        elif quantity == "quantum_avg_return":
+            squares = _class_sum(s, s.eigenvectors**2)
+            weights = squares.T @ squares
+        else:
+            weights = s.class_sizes / s.n
+        if quantity == "classical_pair":
+            values = weights @ phases
+        else:
+            values = _cos_sin(weights, phases)
+            values *= phases if quantity == "quantum_avg_return" else values
+            values[0] += values[1]
+            values = values[0]
+            if quantity == "quantum_avg_return":
+                values = np.sum(values, axis=0) / s.n
     _check_prob_bounds(values, quantity)
     return values if quantity in PAIR_QUANTITIES else values[np.newaxis]
 
@@ -280,29 +295,30 @@ def chi_bar_lb(s: Spectrum) -> float:
     return float(np.sum(s.class_sizes**2)) / s.n**2
 
 
-def approx_alpha_bar_sq(s: Spectrum, class_index: int, t):
+def approx_alpha_bar_sq(s: Spectrum, class_index: int, phases: np.ndarray):
     """Dominant-degeneracy truncation of |alpha-bar(t)|^2 around class l:
-    (1/N^2)[D_l^2 + 2 sum_{c != l} D_c D_l cos((E_c - E_l) t)].
+    (1/N^2)[D_l^2 + 2 sum_{c != l} D_c D_l cos((E_c - E_l) t)], read from the
+    quantum class_phases table as
+    cos((E_c - E_l) t) = cos(E_c t) cos(E_l t) + sin(E_c t) sin(E_l t).
 
     Not a probability (it may leave [0, 1]), so it is exported unclamped
     under its own series tag.
     """
     if not (0 <= class_index < s.class_values.size):
         raise ValueError(f"class_index must be in 0..{s.class_values.size - 1}, got {class_index}")
-    ts = np.asarray(t, dtype=float)
-    mult, vals = s.class_sizes, s.class_values
-    d_l, e_l = mult[class_index], vals[class_index]
-    others = np.arange(s.class_values.size) != class_index
-    cosines = np.cos(np.multiply.outer(vals[others] - e_l, ts))
-    return (d_l**2 + 2.0 * d_l * (mult[others] @ cosines)) / s.n**2
+    others = s.class_sizes.copy()
+    others[class_index] = 0
+    products = _cos_sin(others, phases) * phases[:, class_index]
+    d_l = s.class_sizes[class_index]
+    return (d_l**2 + 2.0 * d_l * (products[0] + products[1])) / s.n**2
 
 
 def check_table_size(s: Spectrum, quantities, grid: TimeGrid) -> None:
     """Reject a run of the given quantities over grid whose largest table
-    exceeds MAX_TABLE_ENTRIES: n rows when a NODE_ROW_QUANTITIES member is
-    read (from_phases weights the phases per node), one per degeneracy class
-    otherwise."""
-    rows = s.n if any(q in NODE_ROW_QUANTITIES for q in quantities) else s.class_values.size
+    exceeds MAX_TABLE_ENTRIES: n rows when a PAIR_QUANTITIES member is read
+    (from_phases weights the phases per target node), one per degeneracy
+    class otherwise."""
+    rows = s.n if any(q in PAIR_QUANTITIES for q in quantities) else s.class_values.size
     entries = rows * grid.size
     if entries > MAX_TABLE_ENTRIES:
         raise ValueError(
@@ -327,7 +343,7 @@ def series(
     if quantity == "approx_alpha_bar_sq":
         if class_index is None:
             raise ValueError("approx_alpha_bar_sq requires a class_index")
-        values = approx_alpha_bar_sq(s, class_index, ts)
+        values = approx_alpha_bar_sq(s, class_index, class_phases(s, ts, "quantum"))
     elif quantity in PHASE_KINDS:
         values = from_phases(s, quantity, class_phases(s, ts, PHASE_KINDS[quantity]), 1)[0]
     else:

@@ -80,6 +80,19 @@ def transition_matrix(s, t: float, kind: str) -> np.ndarray:
     return u if kind == "classical" else np.abs(u) ** 2
 
 
+def approx_difference_form(s, class_index: int, t) -> np.ndarray:
+    """The dominant-degeneracy truncation of |alpha-bar(t)|^2 around class l
+    in its difference form, (1/N^2)[D_l^2 + 2 sum_{c != l} D_c D_l
+    cos((E_c - E_l) t)], with one cosine per class difference rather than
+    the products of the class phase table."""
+    ts = np.asarray(t, dtype=float)
+    mult, vals = s.class_sizes, s.class_values
+    d_l, e_l = mult[class_index], vals[class_index]
+    others = np.arange(vals.size) != class_index
+    cosines = np.cos(np.multiply.outer(vals[others] - e_l, ts))
+    return (d_l**2 + 2.0 * d_l * (mult[others] @ cosines)) / s.n**2
+
+
 _PRIME = 2**31 - 1
 
 

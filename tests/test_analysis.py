@@ -207,7 +207,7 @@ class TestEfficiencyReport:
         monkeypatch.setattr(transport, "class_phases", spy)
         efficiency_report(gen_family("a"))
         # The default grid 0:50:0.01 has 5001 points, 451 of them in 0.5..5.
-        assert tables == [("classical", (10, 5001)), ("quantum", (10, 451))]
+        assert tables == [("classical", (10, 5001)), ("quantum", (2, 10, 451))]
 
     def test_rejects_oversized_class_table(self, monkeypatch):
         monkeypatch.setattr(transport, "MAX_TABLE_ENTRIES", 10 * 5001 - 1)

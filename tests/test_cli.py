@@ -16,7 +16,7 @@ from ctwalk.graphs import (
     read_edge_list,
 )
 from ctwalk.spectral import eigendecompose, nearest_class
-from ctwalk.transport import NODE_ROW_QUANTITIES, PAIR_QUANTITIES, PHASE_KINDS, QUANTITIES
+from ctwalk.transport import PAIR_QUANTITIES, PHASE_KINDS, QUANTITIES
 
 from oracles import transition_matrix
 
@@ -74,6 +74,17 @@ class TestEvolve:
         assert lines[0] == "t,value,approx"
         assert lines[1] == "0,1,0.96"
         assert not (tmp_path / "approx_alpha_bar_sq.csv").exists()
+        # Alone, the approximation is read from a quantum table of its own,
+        # with the same bytes as the co-emitted column.
+        code, _, _ = run(
+            capsys,
+            "evolve", "--graph", "family:e", "--times", "0:1:0.5", "--out", str(tmp_path / "alone"),
+            "--quantities", "approx_alpha_bar_sq",
+        )
+        assert code == 0
+        alone = (tmp_path / "alone" / "approx_alpha_bar_sq.csv").read_text().splitlines()
+        assert alone[0] == "t,value"
+        assert [line.split(",")[1] for line in alone[1:]] == [line.split(",")[2] for line in lines[1:]]
 
     def test_pairwise_emits_one_file_per_target(self, tmp_path, capsys):
         code, _, _ = run(
@@ -178,6 +189,7 @@ class TestEvolve:
 
     @pytest.mark.parametrize("quantities, kinds", [
         ("quantum_pair,quantum_avg_return,alpha_bar_sq", ["quantum"]),
+        ("classical_pair,approx_alpha_bar_sq", ["classical", "quantum"]),
         (",".join(QUANTITIES), ["classical", "quantum"]),
     ])
     def test_one_phase_table_per_kind(self, tmp_path, capsys, monkeypatch, quantities, kinds):
@@ -238,7 +250,11 @@ class TestEvolve:
         assert code == 0
         s = eigendecompose(laplacian(gen_path(3)))
         ts = parse_times(times).times()
-        approx = transport.approx_alpha_bar_sq(s, nearest_class(s, 1.0), ts)
+        # The approximation as evolve reads it, from the quantum table: at
+        # t = 1e15 rounding decides the angles, so the difference form
+        # cos((E_c - E_l) t) would disagree with it at O(1).
+        approx = transport.approx_alpha_bar_sq(
+            s, nearest_class(s, 1.0), transport.class_phases(s, ts, "quantum"))
         expected = {}
         for quantity in PHASE_KINDS:
             table = transport.from_phases(s, quantity, transport.class_phases(s, ts, PHASE_KINDS[quantity]), 1)
@@ -291,19 +307,19 @@ class TestEvolve:
         assert not out.exists()
 
     def test_oversized_table_is_usage_error(self, tmp_path, capsys, monkeypatch):
-        # star:24 has 3 degeneracy classes: on 101 points a pair table, and
-        # the per-node table of quantum_avg_return, has 24 x 101 = 2424
-        # entries, a class table 303.
+        # star:24 has 3 degeneracy classes: on 101 points a pair table has
+        # 24 x 101 = 2424 entries, a class table 303, and quantum_avg_return
+        # reads class tables only.
         monkeypatch.setattr(transport, "MAX_TABLE_ENTRIES", 1000)
         args = ("evolve", "--graph", "star:24", "--times", "0:1:0.01")
         out = tmp_path / "out"
-        for quantities in ("quantum_pair", "classical_pair,alpha_bar_sq", "quantum_avg_return"):
+        for quantities in ("quantum_pair", "classical_pair,alpha_bar_sq", "quantum_avg_return,quantum_pair"):
             code, stdout, err = run(capsys, *args, "--quantities", quantities, "--out", str(out))
             assert code == 2 and "24 x 101 table has 2424 entries" in err and "limit of 1000" in err
             assert stdout == ""
             assert not out.exists()
         code, _, _ = run(capsys, *args, "--quantities", ",".join(
-            q for q in QUANTITIES if q not in NODE_ROW_QUANTITIES), "--out", str(out))
+            q for q in QUANTITIES if q not in PAIR_QUANTITIES), "--out", str(out))
         assert code == 0
 
     def test_bad_quantity(self, tmp_path, capsys):

@@ -15,6 +15,7 @@ from ctwalk.graphs import from_edge_list, gen_broom, gen_star, laplacian
 from ctwalk.spectral import Spectrum, eigendecompose, symmetry_degree
 from ctwalk.transport import (
     PHASE_KINDS,
+    approx_alpha_bar_sq,
     chi_bar,
     chi_bar_lb,
     class_phases,
@@ -22,7 +23,7 @@ from ctwalk.transport import (
     lta_matrix,
 )
 
-from oracles import unit_multiplicity
+from oracles import approx_difference_form, propagator, unit_multiplicity
 
 TIMES = np.array([0.0, 0.3, 1.7, 4.0, 25.0])
 
@@ -50,6 +51,9 @@ def connected_graphs(draw, extra_edges=True, max_n=40):
 
 
 graphs = st.one_of(connected_graphs(extra_edges=False), connected_graphs())
+
+# Up to 8 sample times in [0, 50], the span of the default grid.
+sample_times = st.lists(st.floats(0.0, 50.0), min_size=1, max_size=8).map(np.array)
 
 
 def _remix(s: Spectrum, seed: int) -> Spectrum:
@@ -110,6 +114,31 @@ def test_return_series_read_one_partition(g):
         returns = [_read(s, quantity, j)[j - 1] for j in range(1, s.n + 1)]
         assert np.max(np.abs(np.mean(returns, axis=0) - _read(s, average)[0])) <= 1e-13
     assert np.all(_read(s, "quantum_avg_return")[0] >= _read(s, "alpha_bar_sq")[0] - 1e-15)
+
+
+@PROPERTY_SETTINGS
+@given(graphs, sample_times)
+def test_gram_return_matches_propagator(g, ts):
+    # pi-bar(t) from the C x C Gram form is the node mean of the squared
+    # diagonal of e^{-iLt}, and never below its lower bound |alpha-bar(t)|^2.
+    s = eigendecompose(laplacian(g))
+    phases = class_phases(s, ts, "quantum")
+    pi_bar = from_phases(s, "quantum_avg_return", phases, 1)[0]
+    for col, t in enumerate(ts):
+        diagonal = np.diag(propagator(s, t, "quantum"))
+        assert abs(pi_bar[col] - np.mean(np.abs(diagonal) ** 2)) <= 1e-12
+    assert np.all(pi_bar >= from_phases(s, "alpha_bar_sq", phases, 1)[0] - 1e-15)
+
+
+@PROPERTY_SETTINGS
+@given(graphs, sample_times, st.data())
+def test_approximation_matches_difference_form(g, ts, data):
+    # The approximation read from the quantum table's products agrees with
+    # one cosine per class difference for t <= 50.
+    s = eigendecompose(laplacian(g))
+    l = data.draw(st.integers(0, s.class_values.size - 1))
+    approx = approx_alpha_bar_sq(s, l, class_phases(s, ts, "quantum"))
+    assert np.max(np.abs(approx - approx_difference_form(s, l, ts))) <= 1e-12
 
 
 @PROPERTY_SETTINGS

@@ -14,7 +14,6 @@ from ctwalk.transport import (
     DEFAULT_GRID,
     MAX_GRID_POINTS,
     MAX_TABLE_ENTRIES,
-    NODE_ROW_QUANTITIES,
     PAIR_QUANTITIES,
     PHASE_KINDS,
     QUANTITIES,
@@ -98,31 +97,37 @@ class TestTimeGrid:
 
     def test_table_limit(self):
         # Checked on sizes alone: the largest graph on the default grid fits,
-        # a 300-node per-node table on a 999,901-point grid (4.8 GB complex)
-        # does not, while star:300's 3-class table on that grid does.
+        # a 300-node pair table on a 999,901-point grid (4.8 GB of cosines
+        # and sines) does not, while star:300's 3-class tables on that grid,
+        # the Gram form of quantum_avg_return among them, do.
         largest = SimpleNamespace(n=MAX_NODES, classes=range(MAX_NODES))
         check_table_size(largest, ("quantum_pair",), DEFAULT_GRID)
         long_grid = TimeGrid(0, 9999, 0.01)
         for graph in (gen_path(300), gen_star(300)):
             s = eigendecompose(laplacian(graph))
-            for quantity in ("classical_pair", "quantum_pair", "quantum_avg_return"):
+            for quantity in PAIR_QUANTITIES:
                 with pytest.raises(
                     ValueError, match=f"300 x 999901 table .* limit of {MAX_TABLE_ENTRIES}"
                 ):
                     check_table_size(s, ("alpha_bar_sq", quantity), long_grid)
         star = eigendecompose(laplacian(gen_star(300)))
         check_table_size(
-            star, [q for q in QUANTITIES if q not in NODE_ROW_QUANTITIES], long_grid
+            star, [q for q in QUANTITIES if q not in PAIR_QUANTITIES], long_grid
         )
 
     def test_series_table_limit(self, monkeypatch):
-        # star:24 has 3 classes: 303 class entries on 101 points, 2424 per node.
+        # star:24 has 3 classes: 303 class entries on 101 points, 2424 in a
+        # pair table, one row per target node.  Every series reads a class
+        # table, quantum_avg_return included.
         monkeypatch.setattr(transport, "MAX_TABLE_ENTRIES", 1000)
         s, grid = eigendecompose(laplacian(gen_star(24))), TimeGrid(0, 1, 0.01)
         with pytest.raises(ValueError, match="24 x 101 table has 2424 entries"):
-            series(s, grid, "quantum_avg_return")
-        for quantity in ("classical_avg_return", "alpha_bar_sq"):
+            check_table_size(s, ("quantum_pair",), grid)
+        for quantity in ("classical_avg_return", "quantum_avg_return", "alpha_bar_sq"):
             assert series(s, grid, quantity).values.shape == (101,)
+        monkeypatch.setattr(transport, "MAX_TABLE_ENTRIES", 302)
+        with pytest.raises(ValueError, match="3 x 101 table has 303 entries"):
+            series(s, grid, "quantum_avg_return")
 
     @pytest.mark.parametrize(
         "args", [(0, np.inf, 1), (0, np.nan, 1), (np.nan, 1, 0.1), (0, 1, np.inf)]
@@ -268,6 +273,20 @@ class TestSharedPhases:
             for quantity, table in shared.items():
                 assert np.max(np.abs(table[:, col] - expected[quantity])) <= 1e-13
 
+    def test_quantum_table_layout(self, family_spectra):
+        # [cos, sin] of the very angles np.multiply.outer gives; a 0-d t
+        # drops the time axis.
+        s, ts = family_spectra["c"], DEFAULT_GRID.times()
+        angles = np.multiply.outer(s.class_values, ts)
+        table = class_phases(s, ts, "quantum")
+        assert table.shape == (2, s.class_values.size, ts.size)
+        assert np.array_equal(table[0], np.cos(angles))
+        assert np.array_equal(table[1], np.sin(angles))
+        point = class_phases(s, 2.5, "quantum")
+        angles = np.multiply.outer(s.class_values, 2.5)
+        assert point.shape == (2, s.class_values.size)
+        assert np.array_equal(point, [np.cos(angles), np.sin(angles)])
+
     def test_validation(self, k2_spectrum):
         phases = class_phases(k2_spectrum, [0.0, 1.0], "quantum")
         with pytest.raises(ValueError, match="from_phases needs"):
@@ -405,13 +424,14 @@ class TestApproximation:
         s = family_spectra["e"]
         l = nearest_class(s, 1.0)
         assert s.classes[l].multiplicity == 8
-        assert approx_alpha_bar_sq(s, l, 0.0) == pytest.approx(0.96, abs=1e-12)
+        assert approx_alpha_bar_sq(s, l, class_phases(s, 0.0, "quantum")) == pytest.approx(0.96, abs=1e-12)
 
     def test_star_tracks_exact_curve(self, family_spectra):
         s = family_spectra["e"]
         ts = TimeGrid(0.0, 50.0, 0.01).times()
         exact = _read(s, "alpha_bar_sq", ts)[0]
-        deviation = np.abs(approx_alpha_bar_sq(s, nearest_class(s), ts) - exact)
+        approx = approx_alpha_bar_sq(s, nearest_class(s), class_phases(s, ts, "quantum"))
+        deviation = np.abs(approx - exact)
         assert float(deviation.max()) <= 0.05
 
     def test_weakly_symmetric_network_deviates_more(self, family_spectra):
@@ -420,12 +440,13 @@ class TestApproximation:
         for label in ("b", "e"):
             s = family_spectra[label]
             exact = _read(s, "alpha_bar_sq", ts)[0]
-            devs[label] = float(np.abs(approx_alpha_bar_sq(s, nearest_class(s), ts) - exact).max())
+            approx = approx_alpha_bar_sq(s, nearest_class(s), class_phases(s, ts, "quantum"))
+            devs[label] = float(np.abs(approx - exact).max())
         assert devs["b"] > devs["e"]
 
     def test_invalid_class_index(self, k2_spectrum):
         with pytest.raises(ValueError, match="class_index"):
-            approx_alpha_bar_sq(k2_spectrum, 5, 1.0)
+            approx_alpha_bar_sq(k2_spectrum, 5, class_phases(k2_spectrum, 1.0, "quantum"))
 
 
 class TestSeries:
