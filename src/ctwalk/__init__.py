@@ -7,7 +7,6 @@ from .graphs import (
     Graph,
     FAMILY_LABELS,
     MAX_NODES,
-    adjacency,
     check_node_count,
     from_edge_list,
     format_edge_list,
@@ -25,9 +24,7 @@ from .graphs import (
 from .spectral import (
     DEFAULT_DEG_TOL,
     ConvergenceError,
-    DegeneracyClass,
     Spectrum,
-    cluster_degeneracies,
     eigendecompose,
     nearest_class,
     symmetry_degree,
@@ -41,7 +38,6 @@ from .transport import (
     ProbabilityMatrix,
     TimeGrid,
     TransportSeries,
-    approx_alpha_bar_sq,
     chi_bar,
     chi_bar_lb,
     class_phases,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import analysis, graphs, serialize, transport
-from .spectral import DEFAULT_DEG_TOL, ConvergenceError, eigendecompose, nearest_class, symmetry_degree
+from .spectral import DEFAULT_DEG_TOL, ConvergenceError, eigendecompose, symmetry_degree
 from .transport import DEFAULT_GRID, PAIR_QUANTITIES, QUANTITIES, TimeGrid
 
 EXIT_OK = 0
@@ -147,7 +147,6 @@ def cmd_evolve(config: RunConfig) -> int:
     ts = config.grid.times()
     times = serialize.TimeColumn(ts)
     co_emit = "alpha_bar_sq" in config.quantities and "approx_alpha_bar_sq" in config.quantities
-    approx_class = nearest_class(s, 1.0)
     j = config.start_node
     phases = {}  # the class phase table of each kind, evaluated on first use
 
@@ -166,8 +165,7 @@ def cmd_evolve(config: RunConfig) -> int:
 
     selected = [q for q in QUANTITIES if q in config.quantities
                 and not (q == "approx_alpha_bar_sq" and co_emit)]
-    # The approximation is read from the quantum table, as alpha_bar_sq is.
-    kinds = {q: transport.PHASE_KINDS.get(q, "quantum") for q in selected}
+    kinds = {q: transport.PHASE_KINDS[q] for q in selected}
     last_read = {kind: q for q, kind in kinds.items()}
 
     def table(quantity: str, kind: str):
@@ -178,15 +176,12 @@ def cmd_evolve(config: RunConfig) -> int:
     for quantity, kind in kinds.items():
         if kind not in phases:
             phases[kind] = transport.class_phases(s, ts, kind)
-        if quantity == "approx_alpha_bar_sq":
-            emit(quantity, [quantity], [transport.approx_alpha_bar_sq(s, approx_class, table(quantity, kind))])
-            continue
         names = [quantity]
         if quantity in PAIR_QUANTITIES:
             names = [f"{quantity}_k{k}_j{j}" for k in range(1, s.n + 1)]
         approx = None
         if quantity == "alpha_bar_sq" and co_emit:
-            approx = transport.approx_alpha_bar_sq(s, approx_class, phases[kind])
+            approx = transport.from_phases(s, "approx_alpha_bar_sq", phases[kind], j)[0]
         emit(quantity, names, transport.from_phases(s, quantity, table(quantity, kind), j), approx)
     for path in written:
         print(path)

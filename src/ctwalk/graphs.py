@@ -171,27 +171,13 @@ def gen_family(label: str) -> Graph:
     raise ValueError(f"unknown family label {label!r}; expected one of {FAMILY_LABELS}")
 
 
-def _edge_matrix(n: int, index: np.ndarray, value: int) -> np.ndarray:
-    """An int64 n x n matrix holding value at [i, j] and [j, i] for each
-    edge [i, j] of the index array, and 0 elsewhere."""
-    m = np.zeros((n, n), dtype=np.int64)
-    m[index[:, 0], index[:, 1]] = m[index[:, 1], index[:, 0]] = value
-    return m
-
-
-def adjacency(g: Graph) -> np.ndarray:
-    """Read-only int64 n x n 0/1 matrix; entry [i, j] belongs to node pair
-    (i+1, j+1)."""
-    a = _edge_matrix(g.n, _edge_index(g), 1)
-    a.setflags(write=False)
-    return a
-
-
 def laplacian(g: Graph) -> np.ndarray:
     """L = Z - A as a read-only int64 n x n matrix: degrees on the diagonal,
-    -1 per edge; every row sums to 0 exactly (integer arithmetic)."""
+    -1 per edge; every row sums to 0 exactly (integer arithmetic).  Entry
+    [i, j] belongs to node pair (i+1, j+1)."""
     index = _edge_index(g)
-    m = _edge_matrix(g.n, index, -1)
+    m = np.zeros((g.n, g.n), dtype=np.int64)
+    m[index[:, 0], index[:, 1]] = m[index[:, 1], index[:, 0]] = -1
     m.flat[:: g.n + 1] = np.bincount(index.ravel(), minlength=g.n)
     m.setflags(write=False)
     return m

@@ -13,18 +13,16 @@ above deg_tol; a run spreading wider than deg_tol is a ValueError, and so is
 a deg_tol below ten times the eigen-residual, where noise could split a
 class.  So is a class wider than 4 (r_first + r_last) + n eps max|w|, with
 r_i = ||L q_i - w_i q_i||_2: each w_i lies within r_i of a true eigenvalue
-(Parlett), so such a class merges distinct ones.  Every transport series and
-long-time average reads class values and class-summed weights from this one
-partition, so "degenerate" means one thing throughout.
+(Parlett), so such a class merges distinct ones.  The partition is kept as
+arrays on the Spectrum (class_starts, class_sizes, class_values), and every
+transport series and long-time average reads class values and class-summed
+weights from it, so "degenerate" means one thing throughout.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import attrgetter
 
 import numpy as np
 
@@ -55,67 +53,44 @@ class ConvergenceError(RuntimeError):
     check; the message carries the residuals."""
 
 
-@dataclass(frozen=True, slots=True)
-class DegeneracyClass:
-    """One cluster of numerically equal eigenvalues."""
-
-    value: float
-    members: tuple[int, ...]
-
-    @property
-    def multiplicity(self) -> int:
-        return len(self.members)
-
-
 @dataclass(frozen=True, init=False)
 class Spectrum:
     """Eigenvalues (ascending), orthonormal eigenvectors (column j pairs with
     eigenvalue j), and the degeneracy-class partition of indices 0..n-1 into
-    contiguous runs: the arrays class_starts (each class's first index),
-    class_sizes (its member count) and class_values, and the same classes as
-    DegeneracyClass objects in classes, made on its first use.
+    contiguous runs: class_starts (each class's first index), class_values
+    and class_sizes (each class's member count, derived from class_starts).
 
-    Spectrum(n, eigenvalues, eigenvectors, classes, deg_tol) checks that the
-    classes split 0..n-1 into contiguous runs, in order."""
+    Spectrum(n, eigenvalues, eigenvectors, deg_tol, class_starts,
+    class_values) checks that the starts split 0..n-1 into contiguous runs,
+    in order, one value per class, and sets every array read-only (an
+    ndarray of the right dtype is kept, not copied).  A rotated basis is
+    dataclasses.replace(s, eigenvectors=...), which keeps the partition."""
 
     n: int
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     deg_tol: float
     class_starts: np.ndarray = field(repr=False, compare=False)
-    class_sizes: np.ndarray = field(repr=False, compare=False)
     class_values: np.ndarray = field(repr=False, compare=False)
+    class_sizes: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __init__(self, n, eigenvalues, eigenvectors, classes, deg_tol):
-        classes = tuple(classes)
-        members = tuple(map(attrgetter("members"), classes))
-        sizes = np.fromiter(map(len, members), np.intp, len(members))
-        indices = np.fromiter(chain.from_iterable(members), np.intp)
-        if not (sizes.all() and np.array_equal(indices, np.arange(n))):
+    def __init__(self, n, eigenvalues, eigenvectors, deg_tol, class_starts, class_values):
+        starts = np.asarray(class_starts, dtype=np.intp)
+        values = np.asarray(class_values, dtype=float)
+        # The class bounds: the starts, then n.  The runs are contiguous and
+        # in order when the bounds begin at 0 and rise strictly.
+        bounds = np.empty(starts.size + 1, np.intp)
+        bounds[:-1] = starts
+        bounds[-1] = n
+        sizes = np.subtract(bounds[1:], bounds[:-1])
+        if not (values.shape == starts.shape and bounds[0] == 0 and (not sizes.size or sizes.min() > 0)):
             raise ValueError("classes must split 0..n-1 into contiguous runs, in order")
-        self._fill(n, np.array(eigenvalues, dtype=float), np.array(eigenvectors, dtype=float), deg_tol,
-                   np.cumsum(sizes) - sizes, sizes, np.fromiter(map(attrgetter("value"), classes), float, len(classes)))
-        self.__dict__["classes"] = classes
-
-    @classmethod
-    def _of_partition(cls, n, eigenvalues, eigenvectors, deg_tol, class_starts, class_sizes, class_values):
-        """A Spectrum of arrays that eigendecompose made and checked, taken
-        as they are."""
-        s = object.__new__(cls)
-        s._fill(n, eigenvalues, eigenvectors, deg_tol, class_starts, class_sizes, class_values)
-        return s
-
-    def _fill(self, n, eigenvalues, eigenvectors, deg_tol, class_starts, class_sizes, class_values):
-        arrays = {"eigenvalues": eigenvalues, "eigenvectors": eigenvectors,
-                  "class_starts": class_starts, "class_sizes": class_sizes, "class_values": class_values}
+        arrays = {"eigenvalues": np.asarray(eigenvalues, dtype=float),
+                  "eigenvectors": np.asarray(eigenvectors, dtype=float),
+                  "class_starts": starts, "class_values": values, "class_sizes": sizes}
         for arr in arrays.values():
             arr.setflags(write=False)
         self.__dict__.update(arrays, n=n, deg_tol=deg_tol)  # past the frozen __setattr__
-
-    @functools.cached_property
-    def classes(self) -> tuple[DegeneracyClass, ...]:
-        """The partition as DegeneracyClass objects, in order."""
-        return _classes(self.class_starts, self.class_sizes, self.class_values)
 
 
 def _check_deg_tol(deg_tol: float) -> None:
@@ -155,12 +130,13 @@ def _fix_signs(vectors: np.ndarray) -> None:
 
 
 def _partition(w: np.ndarray, deg_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The classes of an ascending eigenvalue array (see
-    cluster_degeneracies) as arrays: first members, member counts and
-    values."""
+    """The degeneracy classes of an ascending eigenvalue array as arrays:
+    first members, member counts and values.  A class ends wherever the gap
+    to the next eigenvalue exceeds deg_tol; its value is the mean of its
+    members, which for a one-member class is its eigenvalue.  A chain of
+    small gaps spreading wider than deg_tol from first to last member is a
+    ValueError."""
     gaps = w[1:] - w[:-1]
-    if (gaps < 0).any():
-        raise ValueError("eigenvalues must be sorted ascending")
     # A class ends where the next gap exceeds deg_tol, and at the end of w.
     cut = np.empty(w.size + 1, bool)
     cut[0] = cut[-1] = True
@@ -194,22 +170,6 @@ def _partition(w: np.ndarray, deg_tol: float) -> tuple[np.ndarray, np.ndarray, n
     return starts, sizes, values
 
 
-def _classes(starts: np.ndarray, sizes: np.ndarray, values: np.ndarray) -> tuple[DegeneracyClass, ...]:
-    members = map(tuple, map(range, starts.tolist(), (starts + sizes).tolist()))
-    return tuple(map(DegeneracyClass, values.tolist(), members))
-
-
-def cluster_degeneracies(eigenvalues, deg_tol: float = DEFAULT_DEG_TOL):
-    """Split an ascending eigenvalue array into classes wherever the gap to
-    the previous eigenvalue exceeds deg_tol; class value is the mean of its
-    members, which for a one-member class is its eigenvalue.  A chain of
-    small gaps spreading wider than deg_tol from first to last member is a
-    ValueError."""
-    w = np.asarray(eigenvalues, dtype=float)
-    _check_deg_tol(deg_tol)
-    return list(_classes(*_partition(w, deg_tol))) if w.size else []
-
-
 def eigendecompose(matrix, deg_tol: float = DEFAULT_DEG_TOL) -> Spectrum:
     """Full spectrum of a symmetric matrix given as an array, such as the
     integer matrix graphs.laplacian returns.
@@ -230,7 +190,7 @@ def eigendecompose(matrix, deg_tol: float = DEFAULT_DEG_TOL) -> Spectrum:
     _check_deg_tol(deg_tol)
     n = a.shape[0]
     if not n:
-        return Spectrum(0, np.zeros(0), np.zeros((0, 0)), (), deg_tol)
+        return Spectrum(0, (), np.zeros((0, 0)), deg_tol, (), ())
     finite = np.isfinite(a)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
@@ -271,7 +231,7 @@ def eigendecompose(matrix, deg_tol: float = DEFAULT_DEG_TOL) -> Spectrum:
                 f"its residual bound {limits[c]:.3e}, so it merges distinct eigenvalues; lower "
                 f"--deg-tol to split it"
             )
-    return Spectrum._of_partition(n, w, v, deg_tol, starts, sizes, values)
+    return Spectrum(n, w, v, deg_tol, starts, values)
 
 
 def nearest_class(spectrum: Spectrum, value: float = 1.0) -> int:

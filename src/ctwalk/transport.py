@@ -15,13 +15,14 @@ Time phases are evaluated in one place, ``class_phases``, the only exp, cos
 or sin of this package: at the C class values and T times, the classical
 table e^{-E_c t} of shape (C, T), or the quantum table
 [cos(E_c t), sin(E_c t)] of shape (2, C, T), e^{-iE_c t} in real arithmetic.
-``from_phases`` reads any of the five quantities in PHASE_KINDS from the
-table of its kind, all n pair series of one start node or one average row at
-a time, so a caller that holds one table per kind evaluates each kind once
-however many quantities it reads; ``approx_alpha_bar_sq`` reads the quantum
-table too.  ``series`` wraps one non-pair quantity on a TimeGrid as a
-TransportSeries.  The transition probabilities at one time t are the pair
-tables of a 0-d t, one start node at a time.
+``from_phases`` reads every quantity of QUANTITIES, each from the table of
+its kind in PHASE_KINDS, all n pair series of one start node or one average
+row at a time, so a caller that holds one table per kind evaluates each kind
+once however many quantities it reads.  The cosine approximation reads the
+quantum table around the degeneracy class nearest eigenvalue 1.  ``series``
+wraps one non-pair quantity on a TimeGrid as a TransportSeries.  The
+transition probabilities at one time t are the pair tables of a 0-d t, one
+start node at a time.
 
 A 0-d time gives tables without the time axis.  Node labels are 1-based.
 """
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Spectrum
+from .spectral import Spectrum, nearest_class
 
 QUANTITIES = (
     "classical_pair",
@@ -48,14 +49,14 @@ PAIR_QUANTITIES = ("classical_pair", "quantum_pair")
 
 MATRIX_QUANTITIES = ("lta",)
 
-# The phase kind each quantity that from_phases reads is read from; the
-# cosine approximation, read by approx_alpha_bar_sq, is not one of them.
+# The phase kind from_phases reads each quantity from.
 PHASE_KINDS = {
     "classical_pair": "classical",
     "quantum_pair": "quantum",
     "classical_avg_return": "classical",
     "quantum_avg_return": "quantum",
     "alpha_bar_sq": "quantum",
+    "approx_alpha_bar_sq": "quantum",
 }
 
 # Largest tolerated excursion of a probability outside [0, 1]; anything worse
@@ -230,16 +231,28 @@ def from_phases(s: Spectrum, quantity: str, phases: np.ndarray, j: int) -> np.nd
     """A quantity of PHASE_KINDS read from the class phase table of its kind,
     as a table of series: one row per target node k (row k-1) of start node
     j for a pair quantity, one row for an average (j is not read).  Checked
-    against the probability bounds and left unclamped.
+    against the probability bounds and left unclamped, save the cosine
+    approximation, which is not a probability (it may leave [0, 1]).
 
     A quantum quantity |w . e^{-iEt}|^2 is (w . cos)^2 + (w . sin)^2, squared
     and summed in place.  pi-bar(t) = (1/N) sum_k |sum_c W_kc e^{-iE_c t}|^2
     is read as the Gram form (1/N) sum_c cos*(G cos) + sin*(G sin) of the
-    C x C matrix G = W^T W, so no n x T table is built for it."""
+    C x C matrix G = W^T W, so no n x T table is built for it.  The
+    dominant-degeneracy truncation of |alpha-bar(t)|^2 around the class l
+    nearest eigenvalue 1,
+    (1/N^2)[D_l^2 + 2 sum_{c != l} D_c D_l cos((E_c - E_l) t)], is read
+    with cos((E_c - E_l) t) = cos(E_c t) cos(E_l t) + sin(E_c t) sin(E_l t)."""
     if quantity not in PHASE_KINDS:
         raise ValueError(f"from_phases needs one of {tuple(PHASE_KINDS)}, got {quantity!r}")
     if quantity == "classical_avg_return":
         values = (s.class_sizes @ phases) / s.n
+    elif quantity == "approx_alpha_bar_sq":
+        dominant = nearest_class(s, 1.0)
+        others = s.class_sizes.copy()
+        others[dominant] = 0
+        products = _cos_sin(others, phases) * phases[:, dominant]
+        d_l = s.class_sizes[dominant]
+        return ((d_l**2 + 2.0 * d_l * (products[0] + products[1])) / s.n**2)[np.newaxis]
     else:
         if quantity in PAIR_QUANTITIES:
             if not (1 <= j <= s.n):
@@ -295,24 +308,6 @@ def chi_bar_lb(s: Spectrum) -> float:
     return float(np.sum(s.class_sizes**2)) / s.n**2
 
 
-def approx_alpha_bar_sq(s: Spectrum, class_index: int, phases: np.ndarray):
-    """Dominant-degeneracy truncation of |alpha-bar(t)|^2 around class l:
-    (1/N^2)[D_l^2 + 2 sum_{c != l} D_c D_l cos((E_c - E_l) t)], read from the
-    quantum class_phases table as
-    cos((E_c - E_l) t) = cos(E_c t) cos(E_l t) + sin(E_c t) sin(E_l t).
-
-    Not a probability (it may leave [0, 1]), so it is exported unclamped
-    under its own series tag.
-    """
-    if not (0 <= class_index < s.class_values.size):
-        raise ValueError(f"class_index must be in 0..{s.class_values.size - 1}, got {class_index}")
-    others = s.class_sizes.copy()
-    others[class_index] = 0
-    products = _cos_sin(others, phases) * phases[:, class_index]
-    d_l = s.class_sizes[class_index]
-    return (d_l**2 + 2.0 * d_l * (products[0] + products[1])) / s.n**2
-
-
 def check_table_size(s: Spectrum, quantities, grid: TimeGrid) -> None:
     """Reject a run of the given quantities over grid whose largest table
     exceeds MAX_TABLE_ENTRIES: n rows when a PAIR_QUANTITIES member is read
@@ -327,25 +322,17 @@ def check_table_size(s: Spectrum, quantities, grid: TimeGrid) -> None:
         )
 
 
-def series(
-    s: Spectrum, grid: TimeGrid, quantity: str, class_index: int | None = None
-) -> TransportSeries:
+def series(s: Spectrum, grid: TimeGrid, quantity: str) -> TransportSeries:
     """Evaluate one scalar, non-pair transport quantity over a TimeGrid.
 
-    The approximation needs the degeneracy-class index.  Pair series come
-    from from_phases, which reads every target node at once.  A table over
-    MAX_TABLE_ENTRIES is rejected before it is allocated.
+    Pair series come from from_phases, which reads every target node at
+    once.  A table over MAX_TABLE_ENTRIES is rejected before it is allocated.
     """
     if quantity in PAIR_QUANTITIES:
         raise ValueError(f"{quantity} series come from from_phases, not series")
+    if quantity not in PHASE_KINDS:
+        raise ValueError(f"unknown quantity tag {quantity!r}")
     check_table_size(s, (quantity,), grid)
     ts = grid.times()
-    if quantity == "approx_alpha_bar_sq":
-        if class_index is None:
-            raise ValueError("approx_alpha_bar_sq requires a class_index")
-        values = approx_alpha_bar_sq(s, class_index, class_phases(s, ts, "quantum"))
-    elif quantity in PHASE_KINDS:
-        values = from_phases(s, quantity, class_phases(s, ts, PHASE_KINDS[quantity]), 1)[0]
-    else:
-        raise ValueError(f"unknown quantity tag {quantity!r}")
+    values = from_phases(s, quantity, class_phases(s, ts, PHASE_KINDS[quantity]), 1)[0]
     return TransportSeries(quantity=quantity, times=ts, values=values)

@@ -15,7 +15,7 @@ from ctwalk.graphs import (
     laplacian,
     read_edge_list,
 )
-from ctwalk.spectral import eigendecompose, nearest_class
+from ctwalk.spectral import eigendecompose
 from ctwalk.transport import PAIR_QUANTITIES, PHASE_KINDS, QUANTITIES
 
 from oracles import transition_matrix
@@ -253,10 +253,11 @@ class TestEvolve:
         # The approximation as evolve reads it, from the quantum table: at
         # t = 1e15 rounding decides the angles, so the difference form
         # cos((E_c - E_l) t) would disagree with it at O(1).
-        approx = transport.approx_alpha_bar_sq(
-            s, nearest_class(s, 1.0), transport.class_phases(s, ts, "quantum"))
+        approx = transport.from_phases(
+            s, "approx_alpha_bar_sq", transport.class_phases(s, ts, "quantum"), 1)[0]
         expected = {}
-        for quantity in PHASE_KINDS:
+        # Beside alpha_bar_sq the approximation is that file's third column.
+        for quantity in (q for q in PHASE_KINDS if q != "approx_alpha_bar_sq"):
             table = transport.from_phases(s, quantity, transport.class_phases(s, ts, PHASE_KINDS[quantity]), 1)
             names = [f"{quantity}_k{k}_j1" for k in (1, 2, 3)] if quantity in PAIR_QUANTITIES else [quantity]
             for name, values in zip(names, np.clip(table, 0.0, 1.0)):

@@ -7,7 +7,6 @@ from ctwalk import graphs
 from ctwalk.graphs import (
     FAMILY_LABELS,
     MAX_NODES,
-    adjacency,
     format_edge_list,
     from_edge_list,
     gen_broom,
@@ -174,18 +173,11 @@ class TestMatrices:
         g = from_edge_list(n, pairs)
         assert from_edge_list(n, np.array(pairs, dtype=np.int64).reshape(-1, 2)) == g
         lap = laplacian_oracle(n, pairs)
-        for matrix, expected in ((laplacian(g), lap), (adjacency(g), np.diag(np.diag(lap)) - lap)):
-            assert matrix.dtype == np.int64
-            assert not matrix.flags.writeable
-            assert np.array_equal(matrix, expected)
+        matrix = laplacian(g)
+        assert matrix.dtype == np.int64
+        assert not matrix.flags.writeable
+        assert np.array_equal(matrix, lap)
         assert np.array_equal(g.degrees(), np.diag(lap))
-
-    def test_adjacency_matches_edges(self):
-        g = gen_cycle(4)
-        a = adjacency(g)
-        assert not a.flags.writeable
-        assert a.sum() == 2 * g.q
-        assert np.all(np.diag(a) == 0)
 
 
 class TestConnectivity:

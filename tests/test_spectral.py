@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -6,9 +7,8 @@ import pytest
 from ctwalk.graphs import gen_cycle, gen_path, gen_star, laplacian
 from ctwalk.spectral import (
     ConvergenceError,
-    DegeneracyClass,
     Spectrum,
-    cluster_degeneracies,
+    _partition,
     eigendecompose,
     symmetry_degree,
 )
@@ -27,13 +27,13 @@ class TestEigendecompose:
         s = eigendecompose(laplacian(gen_star(10)))
         target = np.array([0.0] + [1.0] * 8 + [10.0])
         assert np.max(np.abs(s.eigenvalues - target)) <= 1e-9
-        assert [c.multiplicity for c in s.classes] == [1, 8, 1]
+        assert s.class_sizes.tolist() == [1, 8, 1]
 
     def test_path10_closed_form_oracle(self):
         s = eigendecompose(laplacian(gen_path(10)))
         oracle = np.sort(2.0 - 2.0 * np.cos(np.arange(10) * np.pi / 10.0))
         assert np.max(np.abs(s.eigenvalues - oracle)) <= 1e-9
-        assert all(c.multiplicity == 1 for c in s.classes)
+        assert np.all(s.class_sizes == 1)
 
     def test_orthonormality_and_reconstruction(self, family_graphs, family_spectra):
         for label, s in family_spectra.items():
@@ -52,8 +52,8 @@ class TestEigendecompose:
 
     def test_connected_zero_mode(self, family_spectra):
         for s in family_spectra.values():
-            near_zero = [c for c in s.classes if abs(c.value) <= s.deg_tol]
-            assert len(near_zero) == 1 and near_zero[0].multiplicity == 1
+            near_zero = np.abs(s.class_values) <= s.deg_tol
+            assert s.class_sizes[near_zero].tolist() == [1]
             ground = s.eigenvectors[:, 0]
             assert np.max(np.abs(ground - ground[0])) <= 1e-8
 
@@ -71,9 +71,9 @@ class TestEigendecompose:
 
     def test_n300_passes_residual_gate(self):
         star = eigendecompose(laplacian(gen_star(300)))
-        assert [c.multiplicity for c in star.classes] == [1, 298, 1]
+        assert star.class_sizes.tolist() == [1, 298, 1]
         path = eigendecompose(laplacian(gen_path(300)))
-        assert all(c.multiplicity == 1 for c in path.classes)
+        assert np.all(path.class_sizes == 1)
 
     def test_plain_array_input(self):
         s = eigendecompose(np.array([[2.0, 0.0], [0.0, 1.0]]))
@@ -142,7 +142,7 @@ class TestEigendecompose:
         monkeypatch.setattr(np.linalg, "eigh", shifted)
         with pytest.raises(ValueError, match=r"deg_tol 9\.000e-12 is below the floor 1\.000e-11"):
             eigendecompose(np.eye(3), deg_tol=9e-12)
-        assert [c.multiplicity for c in eigendecompose(np.eye(3), deg_tol=2e-11).classes] == [3]
+        assert eigendecompose(np.eye(3), deg_tol=2e-11).class_sizes.tolist() == [3]
 
     def test_class_merging_distinct_eigenvalues_fails(self):
         # At deg_tol 100 the star's spectrum {0, 1 x 8, 10} is one class
@@ -164,29 +164,25 @@ class TestEigendecompose:
 
 class TestClustering:
     def test_exact_repeats(self):
-        classes = cluster_degeneracies([0.0, 1.0, 1.0, 1.0, 3.0], 1e-8)
-        assert [(c.value, c.multiplicity) for c in classes] == [(0.0, 1), (1.0, 3), (3.0, 1)]
+        _, sizes, values = _partition(np.array([0.0, 1.0, 1.0, 1.0, 3.0]), 1e-8)
+        assert list(zip(values.tolist(), sizes.tolist())) == [(0.0, 1), (1.0, 3), (3.0, 1)]
 
     def test_sub_tolerance_gap_merges(self):
-        classes = cluster_degeneracies([0.0, 1e-12, 2.0], 1e-8)
-        assert [c.multiplicity for c in classes] == [2, 1]
-        assert abs(classes[0].value - 5e-13) <= 1e-12
+        _, sizes, values = _partition(np.array([0.0, 1e-12, 2.0]), 1e-8)
+        assert sizes.tolist() == [2, 1]
+        assert abs(values[0] - 5e-13) <= 1e-12
 
     def test_partition_covers_all_indices(self):
         rng = np.random.default_rng(3)
         w = np.sort(rng.uniform(0, 10, size=17))
-        classes = cluster_degeneracies(w, 1e-3)
-        members = [i for c in classes for i in c.members]
+        starts, sizes, _ = _partition(w, 1e-3)
+        members = [i for start, size in zip(starts, sizes) for i in range(start, start + size)]
         assert members == list(range(17))
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValueError, match="sorted"):
-            cluster_degeneracies([1.0, 0.0], 1e-8)
 
     def test_rejects_bad_tolerance(self):
         for tol in (-1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="deg_tol"):
-                cluster_degeneracies([0.0, 1.0], tol)
+                eigendecompose(np.diag([0.0, 1.0]), deg_tol=tol)
 
     def test_chain_wider_than_tolerance_fails(self):
         # Six eigenvalues 0.9e-8 apart: each gap is within the default
@@ -194,36 +190,11 @@ class TestClustering:
         with pytest.raises(ValueError, match=r"spreads 4\.500e-08.*deg_tol 1\.000e-08.*lower --deg-tol"):
             eigendecompose(np.diag(1 + 0.9e-8 * np.arange(6)))
 
-    def test_spectrum_rejects_non_contiguous_classes(self):
-        # Class sums read each class as the run from its first member on.
-        s = eigendecompose(laplacian(gen_path(3)))
-        for classes in (
-            (DegeneracyClass(0.0, (0, 2)), DegeneracyClass(1.0, (1,))),
-            (DegeneracyClass(0.0, (0,)), DegeneracyClass(1.0, (1,))),
-        ):
-            with pytest.raises(ValueError, match="contiguous runs"):
-                Spectrum(n=3, eigenvalues=s.eigenvalues, eigenvectors=s.eigenvectors,
-                         classes=classes, deg_tol=s.deg_tol)
-
-    @pytest.mark.parametrize("graph", [gen_star(300), gen_path(300), gen_cycle(12)])
-    def test_classes_rebuild_the_arrays(self, graph):
-        # eigendecompose keeps its partition as arrays and makes the classes
-        # on first use; a Spectrum built from those classes has the same arrays.
-        s = eigendecompose(laplacian(graph))
-        rebuilt = Spectrum(s.n, s.eigenvalues, s.eigenvectors, s.classes, s.deg_tol)
-        assert np.array_equal(rebuilt.class_starts, s.class_starts)
-        assert np.array_equal(rebuilt.class_sizes, s.class_sizes)
-        assert rebuilt.class_values.tobytes() == s.class_values.tobytes()
-        assert rebuilt.classes == s.classes == tuple(cluster_degeneracies(s.eigenvalues))
-
-    def test_class_multiplicity(self):
-        assert DegeneracyClass(1.0, (3, 4, 5)).multiplicity == 3
-
     @staticmethod
-    def _assert_class_means(w, classes):
-        for c in classes:
-            mean = float(np.mean(w[c.members[0]:c.members[-1] + 1]))
-            assert c.value.hex() == mean.hex()
+    def _assert_class_means(w, starts, sizes, values):
+        for start, size, value in zip(starts.tolist(), sizes.tolist(), values.tolist()):
+            mean = float(np.mean(w[start:start + size]))
+            assert value.hex() == mean.hex()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_class_value_is_member_mean_bit_for_bit(self, seed):
@@ -235,21 +206,61 @@ class TestClustering:
         w = np.concatenate(
             [c + np.sort(rng.uniform(0.0, 5e-9, size=k)) for c, k in zip(centers, sizes)]
         )
-        classes = cluster_degeneracies(w, 1e-8)
-        assert [c.multiplicity for c in classes] == sizes.tolist()
-        self._assert_class_means(w, classes)
+        partition = _partition(w, 1e-8)
+        assert partition[1].tolist() == sizes.tolist()
+        self._assert_class_means(w, *partition)
 
     def test_pair_of_negative_zeros_is_member_mean(self):
         # np.mean of (-0.0, -0.0) is 0.0, as np.add.reduce starts from 0.0.
         w = np.array([-0.0, -0.0, 1.0, 1.0 + 1e-12, 5.0])
-        classes = cluster_degeneracies(w, 1e-8)
-        assert [c.multiplicity for c in classes] == [2, 2, 1]
-        self._assert_class_means(w, classes)
+        partition = _partition(w, 1e-8)
+        assert partition[1].tolist() == [2, 2, 1]
+        self._assert_class_means(w, *partition)
 
     @pytest.mark.parametrize("graph", [gen_star(300), gen_path(300)])
     def test_n300_class_values_are_member_means(self, graph):
         s = eigendecompose(laplacian(graph))
-        self._assert_class_means(s.eigenvalues, s.classes)
+        self._assert_class_means(s.eigenvalues, s.class_starts, s.class_sizes, s.class_values)
+
+
+class TestSpectrumPartition:
+    def test_accepts_contiguous_runs(self):
+        s = eigendecompose(laplacian(gen_path(3)))
+        split = Spectrum(3, s.eigenvalues, s.eigenvectors, s.deg_tol, [0, 2], [0.5, 3.0])
+        assert split.class_sizes.tolist() == [2, 1]
+        assert not split.class_sizes.flags.writeable
+        empty = Spectrum(0, (), np.zeros((0, 0)), 1e-8, (), ())
+        assert empty.class_sizes.size == 0
+
+    @pytest.mark.parametrize(
+        "starts, values",
+        [
+            ([1, 2], [1.0, 3.0]),  # starts not beginning at 0
+            ([0, 1, 1], [0.0, 1.0, 3.0]),  # a repeated start
+            ([0, 3], [0.0, 3.0]),  # a start at n
+            ([0, 5], [0.0, 3.0]),  # a start past n
+            ([0, 2, 1], [0.0, 1.0, 3.0]),  # starts out of order
+            ([0, 1], [0.0, 1.0, 3.0]),  # more values than starts
+            ([0, 1, 2], [0.0, 1.0]),  # more starts than values
+            ([], []),  # no classes when n > 0
+        ],
+    )
+    def test_rejects_malformed_partition(self, starts, values):
+        # Class sums read each class as the run from its start to the next.
+        s = eigendecompose(laplacian(gen_path(3)))
+        with pytest.raises(ValueError, match="contiguous runs"):
+            Spectrum(3, s.eigenvalues, s.eigenvectors, s.deg_tol, starts, values)
+
+    @pytest.mark.parametrize("graph", [gen_star(300), gen_path(300), gen_cycle(12)])
+    def test_replace_keeps_the_partition(self, graph):
+        # A rotated basis keeps the partition arrays, read-only.
+        s = eigendecompose(laplacian(graph))
+        rotated = dataclasses.replace(s, eigenvectors=-s.eigenvectors)
+        assert rotated.class_starts is s.class_starts
+        assert rotated.class_values is s.class_values
+        assert np.array_equal(rotated.class_sizes, s.class_sizes)
+        assert np.array_equal(rotated.eigenvectors, -s.eigenvectors)
+        assert not rotated.eigenvectors.flags.writeable
 
 
 class TestSymmetryDegree:
@@ -260,7 +271,7 @@ class TestSymmetryDegree:
     def test_simple_eigenvalue_one_confers_nothing(self):
         # P3 spectrum is {0, 1, 3}: eigenvalue 1 present but non-degenerate.
         s = eigendecompose(laplacian(gen_path(3)))
-        assert any(abs(c.value - 1.0) <= s.deg_tol for c in s.classes)
+        assert np.any(np.abs(s.class_values - 1.0) <= s.deg_tol)
         assert symmetry_degree(s) == 0
 
     def test_no_eigenvalue_one(self, k2_spectrum):

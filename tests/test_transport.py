@@ -20,7 +20,6 @@ from ctwalk.transport import (
     ProbabilityMatrix,
     TimeGrid,
     TransportSeries,
-    approx_alpha_bar_sq,
     chi_bar,
     check_table_size,
     chi_bar_lb,
@@ -30,7 +29,7 @@ from ctwalk.transport import (
     series,
 )
 
-from oracles import expm_oracle, propagator, transition_matrix
+from oracles import approx_difference_form, expm_oracle, propagator, transition_matrix
 
 # Classical propagator entry e^{-L}[0, 4] for the ten-node path, frozen from
 # an independent scipy.linalg.expm evaluation.
@@ -97,11 +96,13 @@ class TestTimeGrid:
 
     def test_table_limit(self):
         # Checked on sizes alone: the largest graph on the default grid fits,
-        # a 300-node pair table on a 999,901-point grid (4.8 GB of cosines
-        # and sines) does not, while star:300's 3-class tables on that grid,
-        # the Gram form of quantum_avg_return among them, do.
-        largest = SimpleNamespace(n=MAX_NODES, classes=range(MAX_NODES))
+        # both as a pair table and as MAX_NODES simple classes; a 300-node
+        # pair table on a 999,901-point grid (4.8 GB of cosines and sines)
+        # does not, while star:300's 3-class tables on that grid, the Gram
+        # form of quantum_avg_return among them, do.
+        largest = SimpleNamespace(n=MAX_NODES, class_values=np.zeros(MAX_NODES))
         check_table_size(largest, ("quantum_pair",), DEFAULT_GRID)
+        check_table_size(largest, ("alpha_bar_sq",), DEFAULT_GRID)
         long_grid = TimeGrid(0, 9999, 0.01)
         for graph in (gen_path(300), gen_star(300)):
             s = eigendecompose(laplacian(graph))
@@ -123,7 +124,7 @@ class TestTimeGrid:
         s, grid = eigendecompose(laplacian(gen_star(24))), TimeGrid(0, 1, 0.01)
         with pytest.raises(ValueError, match="24 x 101 table has 2424 entries"):
             check_table_size(s, ("quantum_pair",), grid)
-        for quantity in ("classical_avg_return", "quantum_avg_return", "alpha_bar_sq"):
+        for quantity in ("classical_avg_return", "quantum_avg_return", "alpha_bar_sq", "approx_alpha_bar_sq"):
             assert series(s, grid, quantity).values.shape == (101,)
         monkeypatch.setattr(transport, "MAX_TABLE_ENTRIES", 302)
         with pytest.raises(ValueError, match="3 x 101 table has 303 entries"):
@@ -257,10 +258,12 @@ class TestSharedPhases:
     def test_one_table_per_kind_reads_every_quantity(self, family_spectra):
         # Every quantity read from the one table of its kind, against the
         # propagator at each time: its columns for pairs, its diagonal and
-        # trace for the averages.
+        # trace for the averages; the approximation against its difference
+        # form.
         s, ts = family_spectra["d"], np.linspace(0.0, 20.0, 41)
         tables = {kind: class_phases(s, ts, kind) for kind in ("classical", "quantum")}
         shared = {q: from_phases(s, q, tables[kind], 4) for q, kind in PHASE_KINDS.items()}
+        approx = approx_difference_form(s, nearest_class(s, 1.0), ts)
         for col, t in enumerate(ts):
             p, u = propagator(s, t, "classical"), propagator(s, t, "quantum")
             expected = {
@@ -269,6 +272,7 @@ class TestSharedPhases:
                 "classical_avg_return": np.trace(p) / s.n,
                 "quantum_avg_return": np.mean(np.abs(np.diag(u)) ** 2),
                 "alpha_bar_sq": np.abs(np.trace(u) / s.n) ** 2,
+                "approx_alpha_bar_sq": approx[col],
             }
             for quantity, table in shared.items():
                 assert np.max(np.abs(table[:, col] - expected[quantity])) <= 1e-13
@@ -290,7 +294,7 @@ class TestSharedPhases:
     def test_validation(self, k2_spectrum):
         phases = class_phases(k2_spectrum, [0.0, 1.0], "quantum")
         with pytest.raises(ValueError, match="from_phases needs"):
-            from_phases(k2_spectrum, "approx_alpha_bar_sq", phases, 1)
+            from_phases(k2_spectrum, "lta", phases, 1)
         with pytest.raises(ValueError, match="j must be"):
             from_phases(k2_spectrum, "quantum_pair", phases, 3)
         with pytest.raises(ValueError, match="t >= 0"):
@@ -422,15 +426,14 @@ class TestAsymptotics:
 class TestApproximation:
     def test_star_at_zero(self, family_spectra):
         s = family_spectra["e"]
-        l = nearest_class(s, 1.0)
-        assert s.classes[l].multiplicity == 8
-        assert approx_alpha_bar_sq(s, l, class_phases(s, 0.0, "quantum")) == pytest.approx(0.96, abs=1e-12)
+        assert s.class_sizes[nearest_class(s, 1.0)] == 8
+        assert _read(s, "approx_alpha_bar_sq", 0.0)[0] == pytest.approx(0.96, abs=1e-12)
 
     def test_star_tracks_exact_curve(self, family_spectra):
         s = family_spectra["e"]
         ts = TimeGrid(0.0, 50.0, 0.01).times()
         exact = _read(s, "alpha_bar_sq", ts)[0]
-        approx = approx_alpha_bar_sq(s, nearest_class(s), class_phases(s, ts, "quantum"))
+        approx = _read(s, "approx_alpha_bar_sq", ts)[0]
         deviation = np.abs(approx - exact)
         assert float(deviation.max()) <= 0.05
 
@@ -440,13 +443,9 @@ class TestApproximation:
         for label in ("b", "e"):
             s = family_spectra[label]
             exact = _read(s, "alpha_bar_sq", ts)[0]
-            approx = approx_alpha_bar_sq(s, nearest_class(s), class_phases(s, ts, "quantum"))
+            approx = _read(s, "approx_alpha_bar_sq", ts)[0]
             devs[label] = float(np.abs(approx - exact).max())
         assert devs["b"] > devs["e"]
-
-    def test_invalid_class_index(self, k2_spectrum):
-        with pytest.raises(ValueError, match="class_index"):
-            approx_alpha_bar_sq(k2_spectrum, 5, class_phases(k2_spectrum, 1.0, "quantum"))
 
 
 class TestSeries:
@@ -468,8 +467,6 @@ class TestSeries:
         for quantity in ("classical_pair", "quantum_pair"):
             with pytest.raises(ValueError, match="from_phases"):
                 series(k2_spectrum, grid, quantity)
-        with pytest.raises(ValueError, match="class_index"):
-            series(k2_spectrum, grid, "approx_alpha_bar_sq")
         with pytest.raises(ValueError, match="quantity"):
             series(k2_spectrum, grid, "bogus")
 
