@@ -7,6 +7,15 @@ deterministic byte-for-byte for a fixed configuration.
 Exit codes: 0 success, 2 usage error, 3 numerical failure (the eigensolver
 failed its residual check), 4 I/O failure.
 
+``evolve`` writes its files on one writer thread per call while the main
+thread renders the next block of them.  One block is in flight at most: a
+block is handed over once the block before it is written.  An error raised
+while writing is re-raised in the calling thread, at the next hand-off or
+when the writer is joined, which every call does before it returns, so the
+exit codes, the files on disk and the printed paths are those of writing
+each block in turn.  ``gen``, ``lta`` and ``report`` write one file each,
+in the calling thread.
+
 ``main(argv)`` may be called any number of times in one process.  The calls
 share one parser, built on the first call: parsing keeps no state between
 calls, and building the parser costs more than most small jobs.
@@ -17,6 +26,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -104,6 +114,57 @@ def _write(path: Path, content: bytes) -> None:
         fh.write(content)
 
 
+class _Writer:
+    """A thread that writes blocks of files, lists of (path, bytes), with
+    _write, in the order they are handed over.  put waits until the block
+    before has been written, so at most one block is in flight; an error
+    raised while writing is re-raised by the next put or by close, once.
+    close waits for the last block, then joins the thread."""
+
+    def __init__(self):
+        self._files = None
+        self._error = None
+        self._handed = threading.Semaphore(0)
+        self._written = threading.Semaphore(1)
+        self._thread = threading.Thread(target=self._run, name="ctwalk-writer")
+        self._thread.start()
+
+    def _run(self) -> None:
+        # A block is dropped once written, so it is not held while the next
+        # one renders.  None, handed over by close, ends the thread.
+        while True:
+            self._handed.acquire()
+            if self._files is None:
+                return
+            try:
+                for path, content in self._files:
+                    _write(path, content)
+            except BaseException as exc:  # re-raised in the calling thread
+                self._error = exc
+            finally:
+                self._files = None
+                self._written.release()
+
+    def _wait(self) -> None:
+        self._written.acquire()
+        error, self._error = self._error, None
+        if error is not None:
+            self._written.release()
+            raise error
+
+    def put(self, files: list) -> None:
+        self._wait()
+        self._files = files
+        self._handed.release()
+
+    def close(self) -> None:
+        try:
+            self._wait()
+        finally:
+            self._handed.release()
+            self._thread.join()
+
+
 def _prepare_out_dir(out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -133,9 +194,13 @@ def cmd_evolve(config: RunConfig) -> int:
     the time column is formatted once, in the run's format, and shared by
     every file.  A pair table is rendered in blocks of TimeColumn.block_rows
     rows (about 16 K numbers, a constant of serialize), one render_series
-    call per block, which returns each file's bytes, written as they are.
-    A run whose largest table would exceed transport.MAX_TABLE_ENTRIES
-    writes nothing.
+    call per block, which returns each file's bytes.  One writer thread,
+    started once per call, writes each block while the next one renders,
+    with one block in flight at most; a write error is re-raised here, and
+    the writer is joined before the call returns or raises.  The paths are
+    printed after the join, in the order the files were written.  A run
+    whose largest table would exceed transport.MAX_TABLE_ENTRIES writes
+    nothing.
     """
     g = resolve_graph(config.graph_source)
     if not (1 <= config.start_node <= g.n):
@@ -154,14 +219,14 @@ def cmd_evolve(config: RunConfig) -> int:
 
     def emit(quantity: str, names, table, approx=None) -> None:
         # The table arrives as an argument, so a pair table is freed on
-        # return, before the next one is built.
+        # return, before the next one is built.  No block is kept here once
+        # handed over.
         step = times.block_rows
         for start in range(0, len(names), step):
-            files = serialize.render_series(config.fmt, quantity, times, table[start : start + step], approx)
-            for name, content in zip(names[start : start + step], files):
-                path = config.out_dir / f"{name}.{config.fmt}"
-                _write(path, content)
-                written.append(path)
+            paths = [config.out_dir / f"{name}.{config.fmt}" for name in names[start : start + step]]
+            writer.put(list(zip(paths, serialize.render_series(
+                config.fmt, quantity, times, table[start : start + step], approx))))
+            written.extend(paths)
 
     selected = [q for q in QUANTITIES if q in config.quantities
                 and not (q == "approx_alpha_bar_sq" and co_emit)]
@@ -173,16 +238,20 @@ def cmd_evolve(config: RunConfig) -> int:
         # before the files are written.
         return phases.pop(kind) if last_read[kind] == quantity else phases[kind]
 
-    for quantity, kind in kinds.items():
-        if kind not in phases:
-            phases[kind] = transport.class_phases(s, ts, kind)
-        names = [quantity]
-        if quantity in PAIR_QUANTITIES:
-            names = [f"{quantity}_k{k}_j{j}" for k in range(1, s.n + 1)]
-        approx = None
-        if quantity == "alpha_bar_sq" and co_emit:
-            approx = transport.from_phases(s, "approx_alpha_bar_sq", phases[kind], j)[0]
-        emit(quantity, names, transport.from_phases(s, quantity, table(quantity, kind), j), approx)
+    writer = _Writer()  # joined below, before the paths are printed
+    try:
+        for quantity, kind in kinds.items():
+            if kind not in phases:
+                phases[kind] = transport.class_phases(s, ts, kind)
+            names = [quantity]
+            if quantity in PAIR_QUANTITIES:
+                names = [f"{quantity}_k{k}_j{j}" for k in range(1, s.n + 1)]
+            approx = None
+            if quantity == "alpha_bar_sq" and co_emit:
+                approx = transport.from_phases(s, "approx_alpha_bar_sq", phases[kind], j)[0]
+            emit(quantity, names, transport.from_phases(s, quantity, table(quantity, kind), j), approx)
+    finally:
+        writer.close()
     for path in written:
         print(path)
     return EXIT_OK

@@ -122,6 +122,7 @@ _E_MIN, _E_MAX = -330, 330  # exponents with a suffix text
 _E_COUNT = _E_MAX - _E_MIN + 1
 # Eight text bytes read as one number, byte j at bits 8j..8j+7 on any host.
 _WORD = np.dtype("<u8")
+_ZEROS = np.frombuffer(b"0" * 8, _WORD)[0]
 
 
 def _words(texts, width: int) -> np.ndarray:
@@ -272,28 +273,26 @@ def _put_words(x: np.ndarray, words: np.ndarray, json_tokens: bool = False) -> N
     d, e, unsure = _digits_and_exponent(x)
     group_texts, masks, prefixes, suffixes = _text_tables()
     # Four 4-digit groups; D < 1e15, so the first group's text starts with a
-    # '0' and digit j of D is byte j + 1 of the 16.
+    # '0' and digit j of D is byte j + 1 of the 16.  A group is looked up
+    # without its trailing zeros (at +10000) when every later group is 0,
+    # last group first, so one gather gives the digits with their trailing
+    # zeros as NUL.  Every digit byte has the bits of '0' set, so OR-ing in
+    # '0's gives the full digits back.
     groups = np.empty((x.size, 4), np.intp)
     high = d // 10**8
     d -= high * 10**8
-    for j, half in enumerate((high, d)):
+    later_zero = np.ones(x.size, bool)
+    for j, half in ((1, d), (0, high)):
         group = half // 10**4
-        groups[:, 2 * j] = group
         half -= group * 10**4
-        groups[:, 2 * j + 1] = half
-    del d, high, group, half
-    # A group is written without its trailing zeros when every later group is 0.
-    zero3 = groups[:, 3] == 0
-    zero23 = zero3 & (groups[:, 2] == 0)
-    zero123 = zero23 & (groups[:, 1] == 0)
-    full = np.take(group_texts, groups).view(_WORD)
-    groups[:, 0] += 10000 * zero123
-    groups[:, 1] += 10000 * zero23
-    groups[:, 2] += 10000 * zero3
-    groups[:, 3] += 10000
-    del zero3, zero23, zero123
+        for column, digits in ((2 * j + 1, half), (2 * j, group)):
+            np.add(digits, 10000, out=digits, where=later_zero)
+            groups[:, column] = digits
+            later_zero &= digits == 10000
+    del d, high, group, half, digits, later_zero
     stripped = np.take(group_texts, groups).view(_WORD)
     del groups
+    full = stripped | _ZEROS
 
     if json_tokens:
         unsure |= e == 15  # a repr token

@@ -1,4 +1,7 @@
 import json
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -476,11 +479,20 @@ class TestExitCodes:
         )
         assert code == 4 and "i/o" in err
 
-    def test_out_dir_collision_is_io_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", [
+        ["gen", "--graph", "path:4"],
+        ["lta", "--graph", "path:4"],
+        ["report", "--graph", "family:a"],
+        ["evolve", "--graph", "path:4", "--times", "0:1:0.1", "--quantities", "quantum_pair"],
+    ], ids=lambda command: command[0])
+    def test_out_dir_collision_is_io_error(self, tmp_path, capsys, command):
         blocker = tmp_path / "blocked"
         blocker.write_text("in the way")
-        code, _, err = run(capsys, "gen", "--graph", "path:4", "--out", str(blocker))
-        assert code == 4 and "i/o" in err
+        threads = threading.active_count()
+        code, out, err = run(capsys, *command, "--out", str(blocker))
+        assert code == 4 and "i/o failure" in err and "Traceback" not in err
+        assert out == "" and blocker.read_text() == "in the way"
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize("broken", ["corrupted", "nan"])
     def test_failed_residual_check_is_numerical_error(self, tmp_path, capsys, monkeypatch, broken):
@@ -660,3 +672,95 @@ class TestSharedParser:
         finally:
             cli._parser.cache_clear()
         assert len(builds) == 1
+
+
+def _pair_names(n, fmt="csv"):
+    return [f"quantum_pair_k{k}_j1.{fmt}" for k in range(1, n + 1)]
+
+
+class TestWriterThread:
+    """evolve writes each block of files on one writer thread while the next
+    block renders (star:40 on the default grid: 13 blocks of 3 files, then 1)."""
+
+    def test_write_error_is_io_error(self, tmp_path, capsys):
+        names = _pair_names(40)
+        (tmp_path / names[9]).mkdir()  # k10, the first file of the fourth block
+        threads = threading.active_count()
+        code, out, err = run(capsys, "evolve", "--graph", "star:40", "--quantities", "quantum_pair",
+                             "--out", str(tmp_path))
+        assert code == 4 and "i/o failure" in err and "Traceback" not in err
+        assert out == ""
+        # The files written before the failing one, as when writing each block in turn.
+        assert sorted(p.name for p in tmp_path.iterdir() if p.is_file()) == sorted(names[:9])
+        assert threading.active_count() == threads
+
+    def test_render_error_leaves_written_blocks(self, tmp_path, capsys, monkeypatch):
+        render = cli.serialize.render_series
+        calls = []
+
+        def third_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise ValueError("third block")
+            return render(*args, **kwargs)
+
+        monkeypatch.setattr(cli.serialize, "render_series", third_fails)
+        threads = threading.active_count()
+        code, out, err = run(capsys, "evolve", "--graph", "star:40", "--quantities", "quantum_pair",
+                             "--out", str(tmp_path))
+        assert code == 2 and "third block" in err and out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(_pair_names(40)[:6])
+        assert threading.active_count() == threads
+
+    def test_one_block_in_flight(self, tmp_path, capsys, monkeypatch):
+        """When block k starts rendering, every file of block k-2 is written,
+        even with a writer slower than the renderer."""
+        render, write = cli.serialize.render_series, cli._write
+        written, seen = [], []
+
+        def spy_render(*args, **kwargs):
+            seen.append(list(written))
+            return render(*args, **kwargs)
+
+        def slow_write(path, content):
+            time.sleep(0.002)
+            write(path, content)
+            written.append(path.name)
+
+        monkeypatch.setattr(cli.serialize, "render_series", spy_render)
+        monkeypatch.setattr(cli, "_write", slow_write)
+        code, out, _ = run(capsys, "evolve", "--graph", "star:40", "--quantities", "quantum_pair",
+                           "--out", str(tmp_path))
+        assert code == 0
+        names = _pair_names(40)
+        assert len(seen) == 14
+        for k, before in enumerate(seen):
+            assert before[: 3 * max(k - 1, 0)] == names[: 3 * max(k - 1, 0)], k
+        # Written and printed in the order of the targets.
+        assert written == names
+        assert out.split() == [str(tmp_path / name) for name in names]
+
+    def test_concurrent_calls_with_short_switch_interval(self, tmp_path, capsys):
+        """More writer threads than cores, switching threads every few
+        microseconds: every call writes the bytes of a call made alone."""
+        argv = ["evolve", "--graph", "star:12", "--times", "0:50:0.01", "--quantities", "quantum_pair"]
+        assert main(argv + ["--out", str(tmp_path / "alone")]) == 0
+        expected = {p.name: p.read_bytes() for p in (tmp_path / "alone").iterdir()}
+        threads = threading.active_count()
+        codes = []
+        callers = [threading.Thread(target=lambda i=i: codes.append(main(argv + ["--out", str(tmp_path / str(i))])),
+                                    daemon=True) for i in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert codes == [0, 0, 0]
+        for i in range(3):
+            assert {p.name: p.read_bytes() for p in (tmp_path / str(i)).iterdir()} == expected
+        assert threading.active_count() == threads
