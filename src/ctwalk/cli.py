@@ -265,10 +265,10 @@ def cmd_lta(config: RunConfig) -> int:
     _prepare_out_dir(config.out_dir)
     if config.fmt == "csv":
         path = config.out_dir / "lta.csv"
-        _write(path, serialize.matrix_to_csv(matrix).encode())
+        _write(path, serialize.matrix_to_csv(matrix))
     else:
         path = config.out_dir / "lta.json"
-        _write(path, serialize.matrix_to_json(matrix).encode())
+        _write(path, serialize.matrix_to_json(matrix))
     print(path)
     return EXIT_OK
 
@@ -279,7 +279,7 @@ def cmd_report(config: RunConfig) -> int:
     report = analysis.efficiency_report(g, config.grid, config.deg_tol, label=config.graph_source)
     _prepare_out_dir(config.out_dir)
     path = config.out_dir / "report.json"
-    _write(path, serialize.report_to_json(report).encode())
+    _write(path, serialize.report_to_json(report))
     print(serialize.report_to_text(report), end="")
     print(path)
     return EXIT_OK

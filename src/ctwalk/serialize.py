@@ -11,8 +11,8 @@ a prefix (a sign, and the "0." and zeros of fixed notation below 1), 16
 mantissa bytes and a suffix (an exponent text, or a JSON token's ".0"): a
 text with a suffix has at most a sign before its mantissa, so its mantissa
 and suffix move up one byte, 1 + 16 + 5 bytes against 6 + 16 in fixed
-notation.  A line of a series file holds them in place; ``format_column``
-hands them to the matrix and number-list writers as a text table.
+notation.  Every writer formats its numbers straight into a line frame of
+such words and deletes the NULs of each file, or part of one, once.
 
 There is one series serializer, ``render_series``.  It takes a (rows, T)
 table of series, one file per row, and the time grid as a ``TimeColumn``,
@@ -29,6 +29,14 @@ value's three words (in CSV with the approximation column, a ',' word and
 three more).  A JSON line leads with ",\n    ", or "\n    " on an array's
 first line.  Each file is one contiguous slice of the frame, squeezed by one
 ``translate``, between its header and its tail, all as bytes.
+
+The lta matrix takes the same frame, ``max(1, _BLOCK_NUMBERS // n)`` rows at
+a time, with one word besides each entry's three: in CSV a ',' word after
+it, '\n' at the end of a row, each block squeezed once; in JSON a lead word
+from ``_json_frame`` at indent 6, ",\n      ", or "\n      " on a row's
+first line, each row squeezed once.  The row brackets and the object around
+them are joined as bytes.  Every writer returns bytes but ``report_to_text``,
+whose table is printed; the report's few numbers are %-formatted one by one.
 
 Inputs of fewer than ``_VECTOR_MIN`` numbers are formatted by one
 %-operation over a template with a ``%.15g`` slot per number.  Larger inputs
@@ -338,34 +346,9 @@ def _put_words(x: np.ndarray, words: np.ndarray, json_tokens: bool = False) -> N
         words[rows] = _words(list(texts), 24).reshape(-1, 3)
 
 
-def format_column(values) -> np.ndarray:
-    """The %.15g text of each value (any array shape, read row-major) as one
-    row of a uint8 text table; unused bytes are NUL (see the module
-    docstring)."""
-    x = np.asarray(values, dtype=float).ravel()
-    # Each word column is written as one contiguous row, and words no number
-    # uses are left out (all but one when there are no numbers).
-    words = np.empty((3, x.size), _WORD)
-    _put_words(x, words.T)
-    used = [word for word in words if word.any()]
-    return np.stack(used or [words[0]], axis=1).view(np.uint8)
-
-
 def _squeeze(table) -> bytes:
-    """The bytes of a table of words or text rows, NULs removed."""
+    """The bytes of a table of words, NULs removed."""
     return table.tobytes().translate(None, b"\0")
-
-
-def _texts(table) -> list[str]:
-    """The text of each row of a uint8 text table."""
-    lines = np.concatenate([table, np.full((len(table), 1), ord("\n"), np.uint8)], axis=1)
-    return _squeeze(lines).decode("ascii").split("\n")[:-1]
-
-
-def format_numbers(values) -> list[str]:
-    """Each value as 15-significant-digit text, in row-major order."""
-    x = np.asarray(values, dtype=float).ravel()
-    return _percent_texts(x) if x.size < _VECTOR_MIN else _texts(format_column(x))
 
 
 def _json_token(text: str) -> str:
@@ -378,46 +361,40 @@ def _json_token(text: str) -> str:
     return repr(x)
 
 
-def _json_numbers(values) -> list[str]:
-    """The JSON token of each value (see the module docstring); below
-    _VECTOR_MIN values, by the rule itself, one text at a time."""
-    x = np.asarray(values, dtype=float).ravel()
-    if x.size < _VECTOR_MIN:
-        return [_json_token(text) for text in _percent_texts(x)]
-    words = np.empty((x.size, 3), _WORD)
-    _put_words(x, words, json_tokens=True)
-    return _texts(words.view(np.uint8))
-
-
-def _json_array(items: list[str], indent: str) -> str:
+def _json_array(items: list[bytes], indent: bytes) -> bytes:
     """A JSON array of encoded items, laid out as json.dumps(indent=2) lays
     out an array that opens at the given indent."""
     if not items:
-        return "[]"
-    inner = "\n" + indent + "  "
-    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+        return b"[]"
+    inner = b"\n" + indent + b"  "
+    return b"[" + inner + (b"," + inner).join(items) + b"\n" + indent + b"]"
 
 
-def _json_object(fields: dict) -> str:
+def _json_object(fields: dict) -> bytes:
     """A top-level JSON object of encoded values, as json.dumps(indent=2)
     writes it, with a final newline."""
-    members = [f"  {json.dumps(key)}: {value}" for key, value in fields.items()]
-    return "{\n" + ",\n".join(members) + "\n}\n"
+    members = [b"  %s: %s" % (json.dumps(key).encode(), value) for key, value in fields.items()]
+    return b"{\n" + b",\n".join(members) + b"\n}\n"
 
 
-# The lead words of the lines of a JSON array of numbers at indent 2, the
-# first line's and every later line's, and the word that ends a CSV time text.
-_JSON_FIRST, _JSON_NEXT, _CSV_END = _words(["\n    ", ",\n    ", ",\n"], 8).tolist()
+# By the indent of its numbers (4 in a series file, 6 in a row of a
+# matrix), the lead words of the lines of a JSON array of numbers, the
+# first line's and every later line's.
+_JSON_LEADS = {indent: _words(["\n" + " " * indent, ",\n" + " " * indent], 8).tolist()
+               for indent in (4, 6)}
+# The word that ends a CSV time text.
+_CSV_END = _words([",\n"], 8)[0]
 # By k, a mask of a word's k low bytes.
 _LOW_BYTES = _words([b"\xff" * k for k in range(9)], 8)
 
 
-def _json_frame(x: np.ndarray, n: int) -> np.ndarray:
+def _json_frame(x: np.ndarray, n: int, indent: int = 4) -> np.ndarray:
     """The line frame of consecutive JSON arrays of n numbers, holding the
-    tokens of x: a lead word and three token words a line."""
+    tokens of x at the indent: a lead word and three token words a line."""
+    first, rest = _JSON_LEADS[indent]
     frame = np.empty((x.size, 4), _WORD)
-    frame[:, 0] = _JSON_NEXT
-    frame[::n, 0] = _JSON_FIRST
+    frame[:, 0] = rest
+    frame[::n, 0] = first
     _put_words(x, frame[:, 1:], json_tokens=True)
     return frame
 
@@ -517,11 +494,11 @@ def render_series(fmt: str, quantity: str, times: TimeColumn, table, approx=None
         return [_joined(pieces, [_squeeze(frame[i * n : (i + 1) * n])]) for i in range(rows)]
     if fmt == "json":
         # The object with a NUL where each array's lines go.
-        slot = "[\0\n  ]" if n else "[]"
-        fields = {"quantity": json.dumps(quantity), "times": "\0", "values": slot}
+        slot = b"[\0\n  ]" if n else b"[]"
+        fields = {"quantity": json.dumps(quantity).encode(), "times": b"\0", "values": slot}
         if approx is not None:
             fields["approx"] = slot
-        pieces = _json_object(fields).encode().split(b"\0")
+        pieces = _json_object(fields).split(b"\0")
         if not (n and rows):
             return [_joined(pieces, [times.json_array])] * rows
         numbers = values.ravel() if approx is None else np.concatenate([values[0], approx])
@@ -533,24 +510,40 @@ def render_series(fmt: str, quantity: str, times: TimeColumn, table, approx=None
     raise ValueError(f"fmt must be 'csv' or 'json', got {fmt!r}")
 
 
-def matrix_to_csv(matrix: ProbabilityMatrix) -> str:
-    """Bare n x n grid, row k, column j."""
-    ends = np.full((matrix.n, matrix.n), ord(","), np.uint8)
-    ends[:, -1:] = ord("\n")
-    table = format_column(np.clip(matrix.entries, 0.0, 1.0))
-    return _squeeze(np.concatenate([table, ends.reshape(-1, 1)], axis=1)).decode("ascii")
+def _entry_blocks(matrix: ProbabilityMatrix):
+    """The matrix's entries, clipped, max(1, _BLOCK_NUMBERS // n) rows at a
+    time, each block flat in row-major order."""
+    step = max(1, _BLOCK_NUMBERS // max(matrix.n, 1))
+    for start in range(0, matrix.n, step):
+        yield np.clip(matrix.entries[start : start + step], 0.0, 1.0).ravel()
 
 
-def matrix_to_json(matrix: ProbabilityMatrix) -> str:
+def matrix_to_csv(matrix: ProbabilityMatrix) -> bytes:
+    """Bare n x n grid, row k, column j.  A line of the frame is an entry's
+    three words and a ',' word, '\\n' at the end of a row."""
     n = matrix.n
-    tokens = _json_numbers(np.clip(matrix.entries, 0.0, 1.0))
-    rows = [_json_array(tokens[k * n : (k + 1) * n], "    ") for k in range(n)]
+    blocks = []
+    for x in _entry_blocks(matrix):
+        frame = np.empty((x.size, 4), _WORD)
+        _put_words(x, frame[:, :3])
+        frame[:, 3] = ord(",")
+        frame[n - 1 :: n, 3] = ord("\n")
+        blocks.append(_squeeze(frame))
+    return b"".join(blocks)
+
+
+def matrix_to_json(matrix: ProbabilityMatrix) -> bytes:
+    n = matrix.n
+    rows = []
+    for x in _entry_blocks(matrix):
+        frame = _json_frame(x, n, indent=6)
+        rows += [b"[" + _squeeze(frame[i : i + n]) + b"\n    ]" for i in range(0, x.size, n)]
     return _json_object({
-        "quantity": json.dumps(matrix.quantity),
-        "n": str(n),
-        "labels": _json_array([str(k) for k in range(1, n + 1)], "  "),
-        "time": "null" if matrix.time is None else _json_numbers(matrix.time)[0],
-        "entries": _json_array(rows, "  "),
+        "quantity": json.dumps(matrix.quantity).encode(),
+        "n": b"%d" % n,
+        "labels": _json_array([b"%d" % k for k in range(1, n + 1)], b"  "),
+        "time": b"null" if matrix.time is None else _json_token(_NUMBER % matrix.time).encode(),
+        "entries": _json_array(rows, b"  "),
     })
 
 
@@ -558,24 +551,16 @@ def _report_fields(report: EfficiencyReport) -> dict:
     return {f.name: getattr(report, f.name) for f in fields(report)}
 
 
-def report_to_json(report: EfficiencyReport) -> str:
-    values = _report_fields(report)
-    floats = [key for key, value in values.items() if isinstance(value, float)]
-    tokens = dict(zip(floats, _json_numbers([values[key] for key in floats])))
-    return _json_object({key: tokens.get(key) or json.dumps(value) for key, value in values.items()})
+def report_to_json(report: EfficiencyReport) -> bytes:
+    return _json_object({
+        key: (_json_token(_NUMBER % value) if isinstance(value, float) else json.dumps(value)).encode()
+        for key, value in _report_fields(report).items()
+    })
 
 
 def report_to_text(report: EfficiencyReport) -> str:
     """Aligned two-column table for terminal display."""
-    values = _report_fields(report)
-    floats = [key for key, value in values.items() if isinstance(value, float)]
-    texts = dict(zip(floats, format_numbers([values[key] for key in floats])))
-    rows = []
-    for key, value in values.items():
-        if value is None:
-            rendered = "not reached"
-        else:
-            rendered = texts.get(key) or str(value)
-        rows.append((key, rendered))
-    width = max(len(key) for key, _ in rows)
-    return "\n".join(f"{key:<{width}}  {rendered}" for key, rendered in rows) + "\n"
+    rows = {key: "not reached" if value is None else _NUMBER % value if isinstance(value, float) else str(value)
+            for key, value in _report_fields(report).items()}
+    width = max(map(len, rows))
+    return "".join(f"{key:<{width}}  {rendered}\n" for key, rendered in rows.items())

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ctwalk import serialize
+
 _EXPM_SERIES_ORDER = 20
 _EXPM_SCALE_LIMIT = 0.5
 
@@ -123,3 +125,14 @@ def unit_multiplicity(laplacian) -> int:
                 rows[r] = [(x - factor * y) % _PRIME for x, y in zip(rows[r], top)]
         rank += 1
     return n - rank
+
+
+def formatter_texts(values, json_tokens: bool = False) -> list[str]:
+    """The text that serialize._put_words writes for each value (any shape,
+    read row-major), or with json_tokens its JSON token: the value's three
+    words with their NULs squeezed out.  The values are formatted by one
+    call, so _VECTOR_MIN values or more take the numpy path."""
+    x = np.asarray(values, dtype=float).ravel()
+    words = np.empty((x.size, 3), serialize._WORD)
+    serialize._put_words(x, words, json_tokens)
+    return [row.tobytes().translate(None, b"\0").decode("ascii") for row in words]

@@ -10,7 +10,6 @@ from ctwalk.graphs import gen_path, laplacian
 from ctwalk.spectral import eigendecompose
 from ctwalk.serialize import (
     TimeColumn,
-    format_numbers,
     matrix_to_csv,
     matrix_to_json,
     report_to_json,
@@ -18,6 +17,7 @@ from ctwalk.serialize import (
     render_series,
 )
 from ctwalk.transport import PHASE_KINDS, ProbabilityMatrix, TransportSeries, class_phases, from_phases
+from oracles import formatter_texts
 
 
 def _report(equipartition_time=30.61):
@@ -38,7 +38,7 @@ def _report(equipartition_time=30.61):
 
 class TestNumbers:
     def test_fifteen_significant_digits(self):
-        assert format_numbers([0.1, 1.0, 1 / 3]) == ["0.1", "1", "0.333333333333333"]
+        assert formatter_texts([0.1, 1.0, 1 / 3]) == ["0.1", "1", "0.333333333333333"]
 
     def test_clamp_within_slack(self):
         ser = TransportSeries(
@@ -46,7 +46,7 @@ class TestNumbers:
         )
         assert _csv(ser) == b"t,value\n0,0\n1,0.5\n2,1\n"
         m = ProbabilityMatrix(2, np.array([[1.0 + 5e-10, -5e-10], [-5e-10, 1.0]]), "lta")
-        assert matrix_to_csv(m) == "1,0\n0,1\n"
+        assert matrix_to_csv(m) == b"1,0\n0,1\n"
 
     def test_clamp_rejects_real_excursions(self):
         with pytest.raises(ValueError, match="escape"):
@@ -96,7 +96,7 @@ def _random_magnitudes(size, seed):
 
 def _rounded(values):
     """The floats the %.15g text of the values parses back to."""
-    return [float(text) for text in format_numbers(values)]
+    return [float(f"{x:.15g}") for x in np.ravel(values)]
 
 
 def _reference(obj):
@@ -147,18 +147,18 @@ def _assert_series_files(fmt, quantity, ts, table, approx=None):
 
 class TestOneShotFormatter:
     def test_edge_values_match_fstring(self):
-        assert format_numbers(np.array(EDGE_VALUES)) == [f"{x:.15g}" for x in EDGE_VALUES]
-        assert [format_numbers(x)[0] for x in EDGE_VALUES] == [f"{x:.15g}" for x in EDGE_VALUES]
+        assert formatter_texts(np.array(EDGE_VALUES)) == [f"{x:.15g}" for x in EDGE_VALUES]
+        assert [formatter_texts(x)[0] for x in EDGE_VALUES] == [f"{x:.15g}" for x in EDGE_VALUES]
 
     def test_random_magnitudes_match_fstring(self):
         rng = np.random.default_rng(11)
         values = rng.standard_normal(2000) * 10.0 ** rng.integers(-30, 30, size=2000)
-        assert format_numbers(values) == [f"{x:.15g}" for x in values]
+        assert formatter_texts(values) == [f"{x:.15g}" for x in values]
 
     def test_empty_and_table_shapes(self):
-        assert format_numbers(np.array([])) == []
+        assert formatter_texts(np.array([])) == []
         table = np.array([[0.5, 1e-5], [1 / 3, 0.0]])
-        assert format_numbers(table) == ["0.5", "1e-05", "0.333333333333333", "0"]
+        assert formatter_texts(table) == ["0.5", "1e-05", "0.333333333333333", "0"]
 
     def test_csv_with_approx_matches_fstring(self):
         ts = np.linspace(0.0, 1.5, len(EDGE_VALUES))
@@ -196,13 +196,16 @@ class TestOneShotFormatter:
         obj = json.loads(_json(ser))
         assert obj["values"] == [float(f"{x:.15g}") for x in values]
 
-    def test_matrix_csv_matches_fstring(self):
+    # n=129 and n=150 are written in blocks of 127 and 109 rows, the last
+    # block partial (see TestMatrixExport.test_row_blocks).
+    @pytest.mark.parametrize("n", [5, 0, 1, 129, 150])
+    def test_matrix_csv_matches_fstring(self, n):
         rng = np.random.default_rng(3)
-        entries = rng.random((5, 5))
-        m = ProbabilityMatrix(5, entries, "lta")
+        entries = rng.random((n, n))
+        m = ProbabilityMatrix(n, entries, "lta")
         assert matrix_to_csv(m) == "".join(
             ",".join(f"{x:.15g}" for x in row) + "\n" for row in entries
-        )
+        ).encode()
 
 
 def _past_cutoff(values):
@@ -255,7 +258,7 @@ class TestVectorisedFormatter:
     ], ids=["edge", "powers", "negative-powers", "ties", "range-ends", "random", "past-block"])
     def test_matches_fstring(self, values):
         assert values.size >= serialize._VECTOR_MIN
-        assert format_numbers(values) == [f"{x:.15g}" for x in values]
+        assert formatter_texts(values) == [f"{x:.15g}" for x in values]
         # The values as times, as a two-row block of series, and as the
         # approximation column beside clipped probabilities, in each format.
         for fmt in ("csv", "json"):
@@ -264,7 +267,7 @@ class TestVectorisedFormatter:
 
     def test_non_finite_texts(self):
         values = _past_cutoff([np.nan, np.inf, -np.inf, 0.5, -0.0])
-        assert format_numbers(values) == [f"{x:.15g}" for x in values]
+        assert formatter_texts(values) == [f"{x:.15g}" for x in values]
 
     def test_ties_are_ties(self):
         # The tie case is only tested if some ties round up and some down.
@@ -280,7 +283,7 @@ class TestVectorisedFormatter:
         monkeypatch.setattr(serialize, "_digits_and_exponent",
                             lambda x: calls.append(x.size) or kernel(x))
         values = _random_magnitudes(size, 17)
-        assert format_numbers(values) == [f"{x:.15g}" for x in values]
+        assert formatter_texts(values) == [f"{x:.15g}" for x in values]
         assert calls == ([size] if size >= serialize._VECTOR_MIN else [])
 
     @pytest.mark.parametrize("with_approx", [False, True])
@@ -333,25 +336,29 @@ class TestJsonWriter:
         [out] = render_series("json", "alpha_bar_sq", TimeColumn([]), np.zeros((1, 0)))
         assert out == _reference({"quantity": "alpha_bar_sq", "times": [], "values": []}).encode()
 
+    # n=129 and n=150 are written in blocks of 127 and 109 rows, the last
+    # block partial (see TestMatrixExport.test_row_blocks).
+    @pytest.mark.parametrize("n", [45, 0, 1, 129, 150])
     @pytest.mark.parametrize("time", [None, 0.0, 2.5, 1e15, 1.2345e15, 1e16, 5e-324])
-    def test_matrix_matches_json_dumps(self, time):
-        entries = 10.0 ** np.random.default_rng(7).uniform(-330.0, 0.0, (45, 45))
-        entries[0, :6] = [0.0, 1.0, 5e-324, 1e-300, 1 / 3, 0.1 + 0.2]
-        m = ProbabilityMatrix(45, entries, "lta", time)
+    def test_matrix_matches_json_dumps(self, time, n):
+        entries = 10.0 ** np.random.default_rng(7).uniform(-330.0, 0.0, (n, n))
+        edges = [0.0, 1.0, 5e-324, 1e-300, 1 / 3, 0.1 + 0.2]
+        entries.flat[: len(edges)] = edges[: entries.size]
+        m = ProbabilityMatrix(n, entries, "lta", time)
         obj = {
             "quantity": m.quantity,
-            "n": 45,
-            "labels": list(range(1, 46)),
+            "n": n,
+            "labels": list(range(1, n + 1)),
             "time": None if time is None else _rounded(time)[0],
             "entries": [_rounded(row) for row in entries],
         }
-        assert matrix_to_json(m) == _reference(obj)
+        assert matrix_to_json(m) == _reference(obj).encode()
 
     def test_empty_matrix(self):
         m = ProbabilityMatrix(0, np.zeros((0, 0)), "lta")
         obj = {"quantity": "lta", "n": 0, "labels": [], "time": None, "entries": []}
-        assert matrix_to_json(m) == _reference(obj)
-        assert matrix_to_csv(m) == ""
+        assert matrix_to_json(m) == _reference(obj).encode()
+        assert matrix_to_csv(m) == b""
 
     @pytest.mark.parametrize("size", [len(JSON_EDGE_VALUES), serialize._VECTOR_MIN + 3],
                              ids=["percent-path", "numpy-path"])
@@ -360,8 +367,8 @@ class TestJsonWriter:
         below _VECTOR_MIN values by the rule itself, one text at a time,
         and from the formatter's JSON words above."""
         values = np.concatenate([JSON_EDGE_VALUES, _random_magnitudes(size - len(JSON_EDGE_VALUES), 23)])
-        expected = [json.dumps(float(text)) for text in format_numbers(values)]
-        assert serialize._json_numbers(values) == expected
+        expected = [json.dumps(float(f"{x:.15g}")) for x in values]
+        assert formatter_texts(values, json_tokens=True) == expected
 
     @pytest.mark.parametrize("value", JSON_EDGE_VALUES)
     def test_report_matches_json_dumps(self, value):
@@ -374,7 +381,7 @@ class TestJsonWriter:
         for key, field in obj.items():
             if isinstance(field, float):
                 obj[key] = _rounded(field)[0]
-        assert report_to_json(report) == _reference(obj)
+        assert report_to_json(report) == _reference(obj).encode()
 
 
 class TestBlockRendering:
@@ -453,7 +460,7 @@ class TestSeriesExport:
 class TestMatrixExport:
     def test_csv_layout(self):
         m = ProbabilityMatrix(2, np.array([[0.5, 0.5], [0.5, 0.5]]), "lta")
-        assert matrix_to_csv(m) == "0.5,0.5\n0.5,0.5\n"
+        assert matrix_to_csv(m) == b"0.5,0.5\n0.5,0.5\n"
 
     def test_json_carries_labels_and_tag(self):
         m = ProbabilityMatrix(2, np.eye(2), "lta", time=0.0)
@@ -466,6 +473,18 @@ class TestMatrixExport:
     def test_lta_time_is_null(self):
         m = ProbabilityMatrix(2, np.eye(2), "lta")
         assert json.loads(matrix_to_json(m))["time"] is None
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n, rows", [(0, []), (1, [1]), (128, [128]), (129, [127, 2]), (150, [109, 41])])
+    def test_row_blocks(self, monkeypatch, fmt, n, rows):
+        """A matrix is formatted max(1, _BLOCK_NUMBERS // n) rows at a time."""
+        calls = []
+        put_words = serialize._put_words
+        monkeypatch.setattr(serialize, "_put_words",
+                            lambda x, *args, **kwargs: calls.append(x.size) or put_words(x, *args, **kwargs))
+        m = ProbabilityMatrix(n, np.full((n, n), 0.5), "lta")
+        (matrix_to_csv if fmt == "csv" else matrix_to_json)(m)
+        assert calls == [r * n for r in rows]
 
 
 class TestReportExport:
