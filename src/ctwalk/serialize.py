@@ -39,8 +39,9 @@ them are joined as bytes.  Every writer returns bytes but ``report_to_text``,
 whose table is printed; the report's few numbers are %-formatted one by one.
 
 Inputs of fewer than ``_VECTOR_MIN`` numbers are formatted by one
-%-operation over a template with a ``%.15g`` slot per number.  Larger inputs
-are formatted in numpy, with the same bytes:
+%-operation over a template with a ``%-24.15g`` slot per number, which pads
+each text with spaces to its three words.  Larger inputs are formatted in
+numpy, with the same bytes:
 
 * Each x is written as D * 10^(E-14), with D the correctly rounded 15-digit
   integer and E the decimal exponent, E = floor(log10|x|).  The product
@@ -99,6 +100,10 @@ from .analysis import EfficiencyReport
 from .transport import ProbabilityMatrix
 
 _NUMBER = "%.15g"
+# A %.15g text is at most 22 characters ("-1.23456789012345e-308"), so this
+# template writes it as three words, its spaces then turned into NULs.
+_PADDED = "%-24.15g"
+_SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")
 
 # Below this many numbers one %-operation over a template is faster than the
 # numpy path, whose fixed cost is about 0.2 ms per call; the two cost the
@@ -262,9 +267,16 @@ def _digits_and_exponent(x):
     return d, e, unsure
 
 
-def _percent_texts(x: np.ndarray) -> list[str]:
-    """The %.15g text of each value of a 1-d array, by one %-operation."""
-    return ((_NUMBER + "\n") * x.size % tuple(x.tolist())).split("\n")[:-1]
+def _put_texts(x: np.ndarray, words: np.ndarray, where: np.ndarray, json_tokens: bool) -> None:
+    """Write the %.15g text (with json_tokens, the JSON token) of each value
+    where the mask is set into its row of words, one %-formatting at a
+    time."""
+    rows = np.flatnonzero(where)
+    if rows.size:
+        texts = [_NUMBER % v for v in x[rows].tolist()]
+        if json_tokens:
+            texts = map(_json_token, texts)
+        words[rows] = _words(list(texts), 24).reshape(-1, 3)
 
 
 def _put_words(x: np.ndarray, words: np.ndarray, json_tokens: bool = False) -> None:
@@ -273,10 +285,13 @@ def _put_words(x: np.ndarray, words: np.ndarray, json_tokens: bool = False) -> N
     view, laid out as the module docstring describes, with NULs in any
     unused bytes."""
     if x.size < _VECTOR_MIN:
-        texts = _percent_texts(x)
-        if json_tokens:
-            texts = map(_json_token, texts)
-        words[:] = _words(list(texts), 24).reshape(-1, 3)
+        text = (_PADDED * x.size % tuple(x.tolist())).encode()
+        words[:] = np.frombuffer(text.translate(_SPACE_TO_NUL), _WORD).reshape(-1, 3)
+        # A text with a point and no exponent is its own token; the others
+        # are made tokens one by one.
+        if json_tokens and (b"e" in text or text.count(b".") < x.size):
+            chars = np.frombuffer(text, np.uint8).reshape(-1, 24)
+            _put_texts(x, words, ~(chars == ord(".")).any(axis=1) | (chars == ord("e")).any(axis=1), True)
         return
     d, e, unsure = _digits_and_exponent(x)
     group_texts, masks, prefixes, suffixes = _text_tables()
@@ -338,12 +353,7 @@ def _put_words(x: np.ndarray, words: np.ndarray, json_tokens: bool = False) -> N
     words[:, 0] = prefix
     words[:, 1] = word1
     words[:, 2] = word2
-    rows = np.flatnonzero(unsure)
-    if rows.size:
-        texts = [_NUMBER % v for v in x[rows].tolist()]
-        if json_tokens:
-            texts = map(_json_token, texts)
-        words[rows] = _words(list(texts), 24).reshape(-1, 3)
+    _put_texts(x, words, unsure, json_tokens)
 
 
 def _squeeze(table) -> bytes:

@@ -370,6 +370,14 @@ class TestJsonWriter:
         expected = [json.dumps(float(f"{x:.15g}")) for x in values]
         assert formatter_texts(values, json_tokens=True) == expected
 
+    def test_tokens_of_texts_with_points(self):
+        """Below _VECTOR_MIN values, where every text holds a point, the
+        exponent texts that JSON writes otherwise still become tokens."""
+        values = [1.2345e15, 5e-324, 2.5e-7, 0.5]
+        expected = [json.dumps(float(f"{x:.15g}")) for x in values]
+        assert expected[:2] == ["1234500000000000.0", "5e-324"]
+        assert formatter_texts(values, json_tokens=True) == expected
+
     @pytest.mark.parametrize("value", JSON_EDGE_VALUES)
     def test_report_matches_json_dumps(self, value):
         report = EfficiencyReport(
