@@ -267,18 +267,6 @@ def _digits_and_exponent(x):
     return d, e, unsure
 
 
-def _put_texts(x: np.ndarray, words: np.ndarray, where: np.ndarray, json_tokens: bool) -> None:
-    """Write the %.15g text (with json_tokens, the JSON token) of each value
-    where the mask is set into its row of words, one %-formatting at a
-    time."""
-    rows = np.flatnonzero(where)
-    if rows.size:
-        texts = [_NUMBER % v for v in x[rows].tolist()]
-        if json_tokens:
-            texts = map(_json_token, texts)
-        words[rows] = _words(list(texts), 24).reshape(-1, 3)
-
-
 def _put_words(x: np.ndarray, words: np.ndarray, json_tokens: bool = False) -> None:
     """Write the %.15g text of each value of a 1-d array (with json_tokens,
     its JSON token) into the rows of words, an (x.size, 3) uint64 array or
@@ -286,12 +274,11 @@ def _put_words(x: np.ndarray, words: np.ndarray, json_tokens: bool = False) -> N
     unused bytes."""
     if x.size < _VECTOR_MIN:
         text = (_PADDED * x.size % tuple(x.tolist())).encode()
-        words[:] = np.frombuffer(text.translate(_SPACE_TO_NUL), _WORD).reshape(-1, 3)
-        # A text with a point and no exponent is its own token; the others
-        # are made tokens one by one.
+        # A text with a point and no exponent is its own JSON token.
         if json_tokens and (b"e" in text or text.count(b".") < x.size):
-            chars = np.frombuffer(text, np.uint8).reshape(-1, 24)
-            _put_texts(x, words, ~(chars == ord(".")).any(axis=1) | (chars == ord("e")).any(axis=1), True)
+            words[:] = _words([_json_token(t) for t in text.decode().split()], 24).reshape(-1, 3)
+        else:
+            words[:] = np.frombuffer(text.translate(_SPACE_TO_NUL), _WORD).reshape(-1, 3)
         return
     d, e, unsure = _digits_and_exponent(x)
     group_texts, masks, prefixes, suffixes = _text_tables()
@@ -353,7 +340,12 @@ def _put_words(x: np.ndarray, words: np.ndarray, json_tokens: bool = False) -> N
     words[:, 0] = prefix
     words[:, 1] = word1
     words[:, 2] = word2
-    _put_texts(x, words, unsure, json_tokens)
+    rows = np.flatnonzero(unsure)
+    if rows.size:
+        texts = [_NUMBER % v for v in x[rows].tolist()]
+        if json_tokens:
+            texts = map(_json_token, texts)
+        words[rows] = _words(list(texts), 24).reshape(-1, 3)
 
 
 def _squeeze(table) -> bytes:
