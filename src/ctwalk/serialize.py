@@ -40,8 +40,9 @@ whose table is printed; the report's few numbers are %-formatted one by one.
 
 Inputs of fewer than ``_VECTOR_MIN`` numbers are formatted by one
 %-operation over a template with a ``%-24.15g`` slot per number, which pads
-each text with spaces to its three words.  Larger inputs are formatted in
-numpy, with the same bytes:
+each text with spaces to its three words; for JSON, when any text is not
+its own token, every text is made a token one by one.  Larger inputs are
+formatted in numpy, with the same bytes:
 
 * Each x is written as D * 10^(E-14), with D the correctly rounded 15-digit
   integer and E the decimal exponent, E = floor(log10|x|).  The product
