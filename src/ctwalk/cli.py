@@ -7,14 +7,14 @@ deterministic byte-for-byte for a fixed configuration.
 Exit codes: 0 success, 2 usage error, 3 numerical failure (the eigensolver
 failed its residual check), 4 I/O failure.
 
-``evolve`` writes its files on one writer thread per call while the main
-thread renders the next block of them.  One block is in flight at most: a
-block is handed over once the block before it is written.  An error raised
-while writing is re-raised in the calling thread, at the next hand-off or
-when the writer is joined, which every call does before it returns, so the
-exit codes, the files on disk and the printed paths are those of writing
-each block in turn.  ``gen``, ``lta`` and ``report`` write one file each,
-in the calling thread.
+``evolve`` writes its files on one writer thread per call, the one worker
+of a ThreadPoolExecutor, while the main thread renders the next block of
+them.  One block is in flight at most: a block is handed over once the
+block before it is written.  An error raised while writing is re-raised in
+the calling thread, at the next hand-off or when the writer is joined,
+which every call does before it returns, so the exit codes, the files on
+disk and the printed paths are those of writing each block in turn.
+``gen``, ``lta`` and ``report`` write one file each, in the calling thread.
 
 ``main(argv)`` may be called any number of times in one process.  The calls
 share one parser, built on the first call: parsing keeps no state between
@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -114,55 +113,9 @@ def _write(path: Path, content: bytes) -> None:
         fh.write(content)
 
 
-class _Writer:
-    """A thread that writes blocks of files, lists of (path, bytes), with
-    _write, in the order they are handed over.  put waits until the block
-    before has been written, so at most one block is in flight; an error
-    raised while writing is re-raised by the next put or by close, once.
-    close waits for the last block, then joins the thread."""
-
-    def __init__(self):
-        self._files = None
-        self._error = None
-        self._handed = threading.Semaphore(0)
-        self._written = threading.Semaphore(1)
-        self._thread = threading.Thread(target=self._run, name="ctwalk-writer")
-        self._thread.start()
-
-    def _run(self) -> None:
-        # A block is dropped once written, so it is not held while the next
-        # one renders.  None, handed over by close, ends the thread.
-        while True:
-            self._handed.acquire()
-            if self._files is None:
-                return
-            try:
-                for path, content in self._files:
-                    _write(path, content)
-            except BaseException as exc:  # re-raised in the calling thread
-                self._error = exc
-            finally:
-                self._files = None
-                self._written.release()
-
-    def _wait(self) -> None:
-        self._written.acquire()
-        error, self._error = self._error, None
-        if error is not None:
-            self._written.release()
-            raise error
-
-    def put(self, files: list) -> None:
-        self._wait()
-        self._files = files
-        self._handed.release()
-
-    def close(self) -> None:
-        try:
-            self._wait()
-        finally:
-            self._handed.release()
-            self._thread.join()
+def _write_block(files: list) -> None:
+    for path, content in files:
+        _write(path, content)
 
 
 def _prepare_out_dir(out_dir: Path) -> None:
@@ -195,12 +148,12 @@ def cmd_evolve(config: RunConfig) -> int:
     every file.  A pair table is rendered in blocks of TimeColumn.block_rows
     rows (about 16 K numbers, a constant of serialize), one render_series
     call per block, which returns each file's bytes.  One writer thread,
-    started once per call, writes each block while the next one renders,
-    with one block in flight at most; a write error is re-raised here, and
-    the writer is joined before the call returns or raises.  The paths are
-    printed after the join, in the order the files were written.  A run
-    whose largest table would exceed transport.MAX_TABLE_ENTRIES writes
-    nothing.
+    the one worker of an executor made once per call, writes each block
+    while the next one renders, with one block in flight at most; a write
+    error is re-raised here, and the writer is joined before the call
+    returns or raises.  The paths are printed after the join, in the order
+    the files were written.  A run whose largest table would exceed
+    transport.MAX_TABLE_ENTRIES writes nothing.
     """
     g = resolve_graph(config.graph_source)
     if not (1 <= config.start_node <= g.n):
@@ -216,16 +169,20 @@ def cmd_evolve(config: RunConfig) -> int:
     phases = {}  # the class phase table of each kind, evaluated on first use
 
     written = []
+    in_flight = None  # the future of the block last handed over
 
     def emit(quantity: str, names, table, approx=None) -> None:
         # The table arrives as an argument, so a pair table is freed on
-        # return, before the next one is built.  No block is kept here once
-        # handed over.
+        # return, before the next one is built.
+        nonlocal in_flight
         step = times.block_rows
         for start in range(0, len(names), step):
             paths = [config.out_dir / f"{name}.{config.fmt}" for name in names[start : start + step]]
-            writer.put(list(zip(paths, serialize.render_series(
-                config.fmt, quantity, times, table[start : start + step], approx))))
+            files = list(zip(paths, serialize.render_series(
+                config.fmt, quantity, times, table[start : start + step], approx)))
+            if in_flight is not None:
+                in_flight.result()  # re-raises the write error of the block before
+            in_flight = writer.submit(_write_block, files)
             written.extend(paths)
 
     selected = [q for q in QUANTITIES if q in config.quantities
@@ -238,20 +195,25 @@ def cmd_evolve(config: RunConfig) -> int:
         # before the files are written.
         return phases.pop(kind) if last_read[kind] == quantity else phases[kind]
 
-    writer = _Writer()  # joined below, before the paths are printed
-    try:
-        for quantity, kind in kinds.items():
-            if kind not in phases:
-                phases[kind] = transport.class_phases(s, ts, kind)
-            names = [quantity]
-            if quantity in PAIR_QUANTITIES:
-                names = [f"{quantity}_k{k}_j{j}" for k in range(1, s.n + 1)]
-            approx = None
-            if quantity == "alpha_bar_sq" and co_emit:
-                approx = transport.from_phases(s, "approx_alpha_bar_sq", phases[kind], j)[0]
-            emit(quantity, names, transport.from_phases(s, quantity, table(quantity, kind), j), approx)
-    finally:
-        writer.close()
+    # Imported here: concurrent.futures costs about 5 ms, and only evolve uses it.
+    from concurrent.futures import ThreadPoolExecutor
+
+    # Leaving the with block joins the writer, before the paths are printed.
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="ctwalk-writer") as writer:
+        try:
+            for quantity, kind in kinds.items():
+                if kind not in phases:
+                    phases[kind] = transport.class_phases(s, ts, kind)
+                names = [quantity]
+                if quantity in PAIR_QUANTITIES:
+                    names = [f"{quantity}_k{k}_j{j}" for k in range(1, s.n + 1)]
+                approx = None
+                if quantity == "alpha_bar_sq" and co_emit:
+                    approx = transport.from_phases(s, "approx_alpha_bar_sq", phases[kind], j)[0]
+                emit(quantity, names, transport.from_phases(s, quantity, table(quantity, kind), j), approx)
+        finally:
+            if in_flight is not None:
+                in_flight.result()  # a write error wins over a render error
     for path in written:
         print(path)
     return EXIT_OK

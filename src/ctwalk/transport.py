@@ -103,10 +103,10 @@ class TimeGrid:
             raise ValueError("grid stop must exceed start")
         if self.step <= 1e-9:
             raise ValueError("grid step must exceed 1e-9")
-        if self.size > MAX_GRID_POINTS:
-            raise ValueError(
-                f"grid has {self.size} points, more than the limit of {MAX_GRID_POINTS}"
-            )
+        # The quotient is checked first: one too large to round to an int
+        # would overflow in _steps.
+        if (self.stop - self.start) / self.step > MAX_GRID_POINTS or self.size > MAX_GRID_POINTS:
+            raise ValueError(f"grid has more points than the limit of {MAX_GRID_POINTS}")
 
     def _steps(self) -> tuple[int, bool]:
         """Steps from start to the last point, and whether that point is stop."""

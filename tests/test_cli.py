@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -301,12 +303,15 @@ class TestEvolve:
         assert rows == blocks
         assert len(list(tmp_path.iterdir())) == sum(blocks)
 
-    def test_oversized_grid_is_usage_error(self, tmp_path, capsys):
+    # The last three count more points than an int can be rounded to, or
+    # than a message should print.
+    @pytest.mark.parametrize("times", ["0:1e15:0.01", "0:1e308:0.5", "1e308:1.7e308:1e-5", "0:1e300:1e-8"])
+    def test_oversized_grid_is_usage_error(self, tmp_path, capsys, times):
         out = tmp_path / "out"
         code, _, err = run(
-            capsys, "evolve", "--graph", "path:3", "--times", "0:1e15:0.01", "--out", str(out)
+            capsys, "evolve", "--graph", "path:3", "--times", times, "--out", str(out)
         )
-        assert code == 2 and "limit" in err
+        assert code == 2 and err == f"error: grid has more points than the limit of {transport.MAX_GRID_POINTS}\n"
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -711,6 +716,37 @@ class TestWriterThread:
         assert code == 2 and "third block" in err and out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(_pair_names(40)[:6])
         assert threading.active_count() == threads
+
+    def test_write_error_wins_over_render_error(self, tmp_path, capsys, monkeypatch):
+        """Block 2's write fails while block 3 fails to render: the write
+        error is the one reported, as when writing each block in turn."""
+        render = cli.serialize.render_series
+        calls = []
+
+        def third_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise ValueError("third block")
+            return render(*args, **kwargs)
+
+        monkeypatch.setattr(cli.serialize, "render_series", third_fails)
+        names = _pair_names(40)
+        (tmp_path / names[3]).mkdir()  # k4, the first file of the second block
+        threads = threading.active_count()
+        code, out, err = run(capsys, "evolve", "--graph", "star:40", "--quantities", "quantum_pair",
+                             "--out", str(tmp_path))
+        assert code == 4 and "i/o failure" in err and "Traceback" not in err
+        assert out == ""
+        assert sorted(p.name for p in tmp_path.iterdir() if p.is_file()) == sorted(names[:3])
+        assert threading.active_count() == threads
+
+    def test_import_leaves_executor_unloaded(self):
+        """The executor is imported by evolve, not with the module, so that
+        every command starts without its import time."""
+        code = "import sys, ctwalk.cli; sys.exit('concurrent.futures' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_one_block_in_flight(self, tmp_path, capsys, monkeypatch):
         """When block k starts rendering, every file of block k-2 is written,

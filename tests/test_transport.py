@@ -82,7 +82,11 @@ class TestTimeGrid:
         assert grid.size == ts.size == k + 1
         assert ts[-1] == grid.stop
 
-    @pytest.mark.parametrize("args", [(-1, 1, 0.1), (0, 0, 0.1), (1, 0.5, 0.1), (0, 1, 0)])
+    @pytest.mark.parametrize("args", [
+        (-1, 1, 0.1), (0, 0, 0.1), (1, 0.5, 0.1), (0, 1, 0),
+        # Quotients too large to round to an int: rejected, not overflowed.
+        (0, 1e308, 0.5), (1e308, 1.7e308, 1e-5), (0, 1e300, 1e-8),
+    ])
     def test_validation(self, args):
         with pytest.raises(ValueError):
             TimeGrid(*args)
@@ -93,6 +97,9 @@ class TestTimeGrid:
             TimeGrid(0, MAX_GRID_POINTS, 1)
         with pytest.raises(ValueError, match="limit"):
             TimeGrid(0, 1e15, 0.01)
+        # The message states the limit, not a point count of 301 digits.
+        with pytest.raises(ValueError, match=f"^grid has more points than the limit of {MAX_GRID_POINTS}$"):
+            TimeGrid(0, 1e300, 1e-8)
 
     def test_table_limit(self):
         # Checked on sizes alone: the largest graph on the default grid fits,
