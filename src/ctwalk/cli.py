@@ -147,13 +147,12 @@ def cmd_evolve(config: RunConfig) -> int:
     the time column is formatted once, in the run's format, and shared by
     every file.  A pair table is rendered in blocks of TimeColumn.block_rows
     rows (about 16 K numbers, a constant of serialize), one render_series
-    call per block, which returns each file's bytes.  One writer thread,
-    the one worker of an executor made once per call, writes each block
-    while the next one renders, with one block in flight at most; a write
-    error is re-raised here, and the writer is joined before the call
-    returns or raises.  The paths are printed after the join, in the order
-    the files were written.  A run whose largest table would exceed
-    transport.MAX_TABLE_ENTRIES writes nothing.
+    call per block, which returns each file's bytes, and each block goes to
+    the writer of the module docstring, the one worker of an executor made
+    once per call.  A pair table is freed before the next one is built, and
+    a kind's phase table at its last read.  A run whose largest table would
+    exceed transport.MAX_TABLE_ENTRIES, or whose phase angle E t would
+    overflow, writes nothing.
     """
     g = resolve_graph(config.graph_source)
     if not (1 <= config.start_node <= g.n):
@@ -165,35 +164,13 @@ def cmd_evolve(config: RunConfig) -> int:
     ts = config.grid.times()
     times = serialize.TimeColumn(ts)
     co_emit = "alpha_bar_sq" in config.quantities and "approx_alpha_bar_sq" in config.quantities
-    j = config.start_node
-    phases = {}  # the class phase table of each kind, evaluated on first use
-
-    written = []
-    in_flight = None  # the future of the block last handed over
-
-    def emit(quantity: str, names, table, approx=None) -> None:
-        # The table arrives as an argument, so a pair table is freed on
-        # return, before the next one is built.
-        nonlocal in_flight
-        step = times.block_rows
-        for start in range(0, len(names), step):
-            paths = [config.out_dir / f"{name}.{config.fmt}" for name in names[start : start + step]]
-            files = list(zip(paths, serialize.render_series(
-                config.fmt, quantity, times, table[start : start + step], approx)))
-            if in_flight is not None:
-                in_flight.result()  # re-raises the write error of the block before
-            in_flight = writer.submit(_write_block, files)
-            written.extend(paths)
-
     selected = [q for q in QUANTITIES if q in config.quantities
                 and not (q == "approx_alpha_bar_sq" and co_emit)]
-    kinds = {q: transport.PHASE_KINDS[q] for q in selected}
-    last_read = {kind: q for q, kind in kinds.items()}
-
-    def table(quantity: str, kind: str):
-        # The last read of a kind hands its table over, so that it is freed
-        # before the files are written.
-        return phases.pop(kind) if last_read[kind] == quantity else phases[kind]
+    last_read = {transport.PHASE_KINDS[q]: q for q in selected}
+    j, step = config.start_node, times.block_rows
+    phases = {}  # the class phase table of each kind, evaluated on first use
+    written = []
+    in_flight = None  # the future of the block last handed over
 
     # Imported here: concurrent.futures costs about 5 ms, and only evolve uses it.
     from concurrent.futures import ThreadPoolExecutor
@@ -201,16 +178,29 @@ def cmd_evolve(config: RunConfig) -> int:
     # Leaving the with block joins the writer, before the paths are printed.
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="ctwalk-writer") as writer:
         try:
-            for quantity, kind in kinds.items():
+            for quantity in selected:
+                kind = transport.PHASE_KINDS[quantity]
                 if kind not in phases:
                     phases[kind] = transport.class_phases(s, ts, kind)
-                names = [quantity]
-                if quantity in PAIR_QUANTITIES:
-                    names = [f"{quantity}_k{k}_j{j}" for k in range(1, s.n + 1)]
                 approx = None
                 if quantity == "alpha_bar_sq" and co_emit:
                     approx = transport.from_phases(s, "approx_alpha_bar_sq", phases[kind], j)[0]
-                emit(quantity, names, transport.from_phases(s, quantity, table(quantity, kind), j), approx)
+                # The last read of a kind hands its table over, so that it is
+                # freed before the files are written.
+                table = transport.from_phases(
+                    s, quantity, phases.pop(kind) if last_read[kind] == quantity else phases[kind], j)
+                names = [quantity]
+                if quantity in PAIR_QUANTITIES:
+                    names = [f"{quantity}_k{k}_j{j}" for k in range(1, s.n + 1)]
+                for start in range(0, len(names), step):
+                    paths = [config.out_dir / f"{name}.{config.fmt}" for name in names[start : start + step]]
+                    files = list(zip(paths, serialize.render_series(
+                        config.fmt, quantity, times, table[start : start + step], approx)))
+                    if in_flight is not None:
+                        in_flight.result()  # re-raises the write error of the block before
+                    in_flight = writer.submit(_write_block, files)
+                    written.extend(paths)
+                del table  # freed before the next one is built
         finally:
             if in_flight is not None:
                 in_flight.result()  # a write error wins over a render error
@@ -225,12 +215,8 @@ def cmd_lta(config: RunConfig) -> int:
     s = eigendecompose(graphs.laplacian(g), deg_tol=config.deg_tol)
     matrix = transport.lta_matrix(s)
     _prepare_out_dir(config.out_dir)
-    if config.fmt == "csv":
-        path = config.out_dir / "lta.csv"
-        _write(path, serialize.matrix_to_csv(matrix))
-    else:
-        path = config.out_dir / "lta.json"
-        _write(path, serialize.matrix_to_json(matrix))
+    path = config.out_dir / f"lta.{config.fmt}"
+    _write(path, serialize.matrix_to_csv(matrix) if config.fmt == "csv" else serialize.matrix_to_json(matrix))
     print(path)
     return EXIT_OK
 

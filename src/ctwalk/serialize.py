@@ -24,19 +24,23 @@ at a time, about ``_BLOCK_NUMBERS`` (16,384) numbers and at least one row:
 one formatter call per row would pay that call's fixed cost once per file,
 and one call over the whole table outgrows the cache.  The block is
 checked, clipped and formatted by one call, straight into the block's line
-frame, a uint64 table with one line per row: the lead words, then the
-value's three words (in CSV with the approximation column, a ',' word and
-three more).  A JSON line leads with ",\n    ", or "\n    " on an array's
-first line.  Each file is one contiguous slice of the frame, squeezed by one
-``translate``, between its header and its tail, all as bytes.
+frame, a uint64 table with one line per number: in CSV the lead words, the
+value's three words, and with the approximation column a ',' word and three
+more.  Each file is built directly, as bytes, by one ``b"".join`` (a chain
+of ``+`` would copy the body once per ``+``): in CSV of the header, the
+file's slice of the frame squeezed by one ``translate``, and '\n'; in JSON
+of the object's members and punctuation (``_json_object``).
 
-The lta matrix takes the same frame, ``max(1, _BLOCK_NUMBERS // n)`` rows at
-a time, with one word besides each entry's three: in CSV a ',' word after
-it, '\n' at the end of a row, each block squeezed once; in JSON a lead word
-from ``_json_frame`` at indent 6, ",\n      ", or "\n      " on a row's
-first line, each row squeezed once.  The row brackets and the object around
-them are joined as bytes.  Every writer returns bytes but ``report_to_text``,
-whose table is printed; the report's few numbers are %-formatted one by one.
+Every JSON array of numbers comes from one builder, ``_json_arrays``: the
+time array, a file's values and approximation (two rows of one call), and
+the rows of the lta matrix.  Its frame holds a (rows, n) table, a lead word
+(",\n" and the indent, 4 spaces or 6, with no ',' on a row's first line) and
+three token words a number; each row is "[", its squeezed slice, '\n', the
+indent less two spaces and "]", or "[]" at n = 0.  The lta matrix is
+formatted ``max(1, _BLOCK_NUMBERS // n)`` rows at a time; in CSV each
+entry's three words take a ',' word, '\n' at a row's end, each block
+squeezed once.  Every writer returns bytes but ``report_to_text``, whose
+table is printed; the report's few numbers are %-formatted one by one.
 
 Inputs of fewer than ``_VECTOR_MIN`` numbers are formatted by one
 %-operation over a template with a ``%-24.15g`` slot per number, which pads
@@ -370,19 +374,21 @@ def _json_array(items: list[bytes], indent: bytes) -> bytes:
     if not items:
         return b"[]"
     inner = b"\n" + indent + b"  "
-    return b"[" + inner + (b"," + inner).join(items) + b"\n" + indent + b"]"
+    return b"".join((b"[", inner, (b"," + inner).join(items), b"\n", indent, b"]"))
 
 
 def _json_object(fields: dict) -> bytes:
-    """A top-level JSON object of encoded values, as json.dumps(indent=2)
-    writes it, with a final newline."""
-    members = [b"  %s: %s" % (json.dumps(key).encode(), value) for key, value in fields.items()]
-    return b"{\n" + b",\n".join(members) + b"\n}\n"
+    """A top-level JSON object of encoded values under identifier keys, as
+    json.dumps(indent=2) writes it, with a final newline."""
+    parts = [b"{"]
+    for key, value in fields.items():
+        parts += (b'\n  "%s": ' % key.encode(), value, b",")
+    parts[-1] = b"\n}\n"
+    return b"".join(parts)
 
 
-# By the indent of its numbers (4 in a series file, 6 in a row of a
-# matrix), the lead words of the lines of a JSON array of numbers, the
-# first line's and every later line's.
+# By the indent of its numbers (4 in a series file, 6 in a matrix row), the
+# lead words of a JSON array's first and later lines.
 _JSON_LEADS = {indent: _words(["\n" + " " * indent, ",\n" + " " * indent], 8).tolist()
                for indent in (4, 6)}
 # The word that ends a CSV time text.
@@ -391,23 +397,21 @@ _CSV_END = _words([",\n"], 8)[0]
 _LOW_BYTES = _words([b"\xff" * k for k in range(9)], 8)
 
 
-def _json_frame(x: np.ndarray, n: int, indent: int = 4) -> np.ndarray:
-    """The line frame of consecutive JSON arrays of n numbers, holding the
-    tokens of x at the indent: a lead word and three token words a line."""
+def _json_arrays(table: np.ndarray, indent: int) -> list[bytes]:
+    """The JSON array of each row of a (rows, n) table, its numbers at the
+    indent (4 or 6), as json.dumps(indent=2) writes an array of numbers
+    that opens two spaces to the left.  One line frame holds the table: a
+    lead word and three token words a number, one squeezed slice a row."""
+    rows, n = table.shape
+    if not n:
+        return [b"[]"] * rows
     first, rest = _JSON_LEADS[indent]
-    frame = np.empty((x.size, 4), _WORD)
-    frame[:, 0] = rest
-    frame[::n, 0] = first
-    _put_words(x, frame[:, 1:], json_tokens=True)
-    return frame
-
-
-def _joined(pieces: list[bytes], bodies) -> bytes:
-    """The pieces with the bodies between them, in turn."""
-    parts = [pieces[0]]
-    for body, piece in zip(bodies, pieces[1:]):
-        parts += (body, piece)
-    return b"".join(parts)
+    frame = np.empty((rows, n, 4), _WORD)
+    frame[:, :, 0] = rest
+    frame[:, 0, 0] = first
+    _put_words(table.ravel(), frame.reshape(rows * n, 4)[:, 1:], json_tokens=True)
+    close = b"\n" + b" " * (indent - 2) + b"]"
+    return [b"".join((b"[", _squeeze(row), close)) for row in frame]
 
 
 class TimeColumn:
@@ -450,9 +454,7 @@ class TimeColumn:
 
     @functools.cached_property
     def json_array(self) -> bytes:
-        if not len(self):
-            return b"[]"
-        return b"[" + _squeeze(_json_frame(self.times, len(self))) + b"\n  ]"
+        return _json_arrays(self.times[np.newaxis], 4)[0]
 
 
 def render_series(fmt: str, quantity: str, times: TimeColumn, table, approx=None) -> list[bytes]:
@@ -481,44 +483,38 @@ def render_series(fmt: str, quantity: str, times: TimeColumn, table, approx=None
     if quantity != "approx_alpha_bar_sq":
         values = np.clip(values, 0.0, 1.0)
     if fmt == "csv":
-        pieces = [b"t,value" if approx is None else b"t,value,approx", b"\n"]
-        if not (n and rows):
-            return [_joined(pieces, [b""])] * rows
+        header = b"t,value" if approx is None else b"t,value,approx"
+        if not n:
+            return [header + b"\n"] * rows
         # A line: the lead words, then the value's three words, and for the
         # approximation column a ',' word and its three words.
         lead = times.csv_lead
         at = lead.shape[1]
-        frame = np.empty((rows * n, at + (3 if approx is None else 7)), _WORD)
-        frame.reshape(rows, n, -1)[:, :, :at] = lead
-        _put_words(values.ravel(), frame[:, at : at + 3])
+        width = at + (3 if approx is None else 7)
+        frame = np.empty((rows, n, width), _WORD)
+        frame[:, :, :at] = lead
+        lines = frame.reshape(rows * n, width)
+        _put_words(values.ravel(), lines[:, at : at + 3])
         if approx is not None:
-            frame[:, at + 3] = ord(",")
-            _put_words(approx, frame[:, at + 4 :])
-        return [_joined(pieces, [_squeeze(frame[i * n : (i + 1) * n])]) for i in range(rows)]
+            lines[:, at + 3] = ord(",")
+            _put_words(approx, lines[:, at + 4 :])
+        return [b"".join((header, _squeeze(row), b"\n")) for row in frame]
     if fmt == "json":
-        # The object with a NUL where each array's lines go.
-        slot = b"[\0\n  ]" if n else b"[]"
-        fields = {"quantity": json.dumps(quantity).encode(), "times": b"\0", "values": slot}
+        name = json.dumps(quantity).encode()
         if approx is not None:
-            fields["approx"] = slot
-        pieces = _json_object(fields).split(b"\0")
-        if not (n and rows):
-            return [_joined(pieces, [times.json_array])] * rows
-        numbers = values.ravel() if approx is None else np.concatenate([values[0], approx])
-        frame = _json_frame(numbers, n)
-        arrays = [_squeeze(frame[i : i + n]) for i in range(0, numbers.size, n)]
-        if approx is not None:
-            return [_joined(pieces, [times.json_array] + arrays)]
-        return [_joined(pieces, [times.json_array, array]) for array in arrays]
+            array, approx_array = _json_arrays(np.stack([values[0], approx]), 4)
+            return [_json_object({"quantity": name, "times": times.json_array, "values": array,
+                                  "approx": approx_array})]
+        return [_json_object({"quantity": name, "times": times.json_array, "values": array})
+                for array in _json_arrays(values, 4)]
     raise ValueError(f"fmt must be 'csv' or 'json', got {fmt!r}")
 
 
 def _entry_blocks(matrix: ProbabilityMatrix):
-    """The matrix's entries, clipped, max(1, _BLOCK_NUMBERS // n) rows at a
-    time, each block flat in row-major order."""
+    """The matrix's entries, clipped, max(1, _BLOCK_NUMBERS // n) rows at a time."""
     step = max(1, _BLOCK_NUMBERS // max(matrix.n, 1))
     for start in range(0, matrix.n, step):
-        yield np.clip(matrix.entries[start : start + step], 0.0, 1.0).ravel()
+        yield np.clip(matrix.entries[start : start + step], 0.0, 1.0)
 
 
 def matrix_to_csv(matrix: ProbabilityMatrix) -> bytes:
@@ -526,9 +522,9 @@ def matrix_to_csv(matrix: ProbabilityMatrix) -> bytes:
     three words and a ',' word, '\\n' at the end of a row."""
     n = matrix.n
     blocks = []
-    for x in _entry_blocks(matrix):
-        frame = np.empty((x.size, 4), _WORD)
-        _put_words(x, frame[:, :3])
+    for block in _entry_blocks(matrix):
+        frame = np.empty((block.size, 4), _WORD)
+        _put_words(block.ravel(), frame[:, :3])
         frame[:, 3] = ord(",")
         frame[n - 1 :: n, 3] = ord("\n")
         blocks.append(_squeeze(frame))
@@ -537,10 +533,7 @@ def matrix_to_csv(matrix: ProbabilityMatrix) -> bytes:
 
 def matrix_to_json(matrix: ProbabilityMatrix) -> bytes:
     n = matrix.n
-    rows = []
-    for x in _entry_blocks(matrix):
-        frame = _json_frame(x, n, indent=6)
-        rows += [b"[" + _squeeze(frame[i : i + n]) + b"\n    ]" for i in range(0, x.size, n)]
+    rows = [row for block in _entry_blocks(matrix) for row in _json_arrays(block, 6)]
     return _json_object({
         "quantity": json.dumps(matrix.quantity).encode(),
         "n": b"%d" % n,

@@ -121,6 +121,12 @@ class TimeGrid:
         """Number of grid points."""
         return self._steps()[0] + 1
 
+    @property
+    def last(self) -> float:
+        """The last grid point, as times() computes it."""
+        steps, ends_on_stop = self._steps()
+        return self.stop if ends_on_stop else self.start + self.step * steps
+
     def times(self) -> np.ndarray:
         steps, ends_on_stop = self._steps()
         ts = self.start + self.step * np.arange(steps + 1)
@@ -312,7 +318,8 @@ def check_table_size(s: Spectrum, quantities, grid: TimeGrid) -> None:
     """Reject a run of the given quantities over grid whose largest table
     exceeds MAX_TABLE_ENTRIES: n rows when a PAIR_QUANTITIES member is read
     (from_phases weights the phases per target node), one per degeneracy
-    class otherwise."""
+    class otherwise.  Reject too a grid on which the largest phase angle
+    E_c t, at the last time and the largest class value, overflows."""
     rows = s.n if any(q in PAIR_QUANTITIES for q in quantities) else s.class_values.size
     entries = rows * grid.size
     if entries > MAX_TABLE_ENTRIES:
@@ -320,6 +327,9 @@ def check_table_size(s: Spectrum, quantities, grid: TimeGrid) -> None:
             f"a {rows} x {grid.size} table has {entries} entries, more than the limit of "
             f"{MAX_TABLE_ENTRIES}; use a shorter or coarser time grid"
         )
+    t, e = grid.last, float(s.class_values.max(initial=0.0))
+    if not math.isfinite(t * e):
+        raise ValueError(f"the phase angle E*t overflows at time {t:.15g} and eigenvalue {e:.15g}; use an earlier time grid")
 
 
 def series(s: Spectrum, grid: TimeGrid, quantity: str) -> TransportSeries:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -213,6 +214,47 @@ class TestEvolve:
         assert code == 0
         assert evaluated == kinds
 
+    def test_table_lifetimes(self, tmp_path, capsys, monkeypatch):
+        # Each table from from_phases is freed before the next one is built,
+        # and a kind's phase table once its last quantity has read it.
+        class_phases, from_phases = transport.class_phases, transport.from_phases
+        render = cli.serialize.render_series
+        quantities = ("classical_pair", "quantum_pair", "classical_avg_return", "alpha_bar_sq")
+        phase_refs, table_refs, built, rendered = {}, [], [], []
+
+        def spy_phases(s, t, kind):
+            table = class_phases(s, t, kind)
+            phase_refs[kind] = weakref.ref(table)
+            return table
+
+        def spy_from_phases(s, quantity, phases, j):
+            built.append((quantity, sum(ref() is not None for ref in table_refs)))
+            table = from_phases(s, quantity, phases, j)
+            table_refs.append(weakref.ref(table))
+            return table
+
+        def spy_render(fmt, quantity, times, table, approx=None):
+            rendered.append((quantity, {kind: ref() is not None for kind, ref in phase_refs.items()}))
+            return render(fmt, quantity, times, table, approx)
+
+        monkeypatch.setattr(transport, "class_phases", spy_phases)
+        monkeypatch.setattr(transport, "from_phases", spy_from_phases)
+        monkeypatch.setattr(cli.serialize, "render_series", spy_render)
+        code, _, _ = run(capsys, "evolve", "--graph", "path:6", "--times", "0:1:0.1",
+                         "--quantities", ",".join(quantities), "--out", str(tmp_path))
+        assert code == 0
+        # No earlier table is alive when the next one is built.
+        assert built == [(quantity, 0) for quantity in quantities]
+        # Which phase tables are alive as each quantity renders: the
+        # classical one dies at classical_avg_return, the quantum one at
+        # alpha_bar_sq.
+        assert rendered == [
+            ("classical_pair", {"classical": True}),
+            ("quantum_pair", {"classical": True, "quantum": True}),
+            ("classical_avg_return", {"classical": False, "quantum": True}),
+            ("alpha_bar_sq", {"classical": False, "quantum": False}),
+        ]
+
     # render_series gets a pair table in blocks of times.block_rows rows:
     # star:40 on 5001 points is 3 rows a block with a last block of 1,
     # path:300 on 1001 points 16 a block with a last block of 12, and a
@@ -313,6 +355,18 @@ class TestEvolve:
         )
         assert code == 2 and err == f"error: grid has more points than the limit of {transport.MAX_GRID_POINTS}\n"
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_overflowing_phase_angle_is_usage_error(self, tmp_path, capsys):
+        # The angle E t of path:3's largest eigenvalue, 3, overflows at the
+        # last time 1.7e308.  The run is rejected before the out dir is made,
+        # with no numpy warning (which pytest makes an error here).
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, "evolve", "--graph", "path:3", "--times", "1e308:1.7e308:1e307",
+                                "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert err == ("error: the phase angle E*t overflows at time 1.7e+308 and eigenvalue 3; "
+                       "use an earlier time grid\n")
         assert not out.exists()
 
     def test_oversized_table_is_usage_error(self, tmp_path, capsys, monkeypatch):

@@ -332,9 +332,16 @@ class TestJsonWriter:
         assert out == _reference({"quantity": "quantum_pair", "times": _rounded(times),
                                   "values": _rounded(clipped)}).encode()
 
-    def test_empty_series(self):
-        [out] = render_series("json", "alpha_bar_sq", TimeColumn([]), np.zeros((1, 0)))
-        assert out == _reference({"quantity": "alpha_bar_sq", "times": [], "values": []}).encode()
+    @pytest.mark.parametrize("with_approx", [False, True])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_empty_series(self, fmt, with_approx):
+        """An empty grid gives each row a file of empty columns, and a table
+        of no rows gives no file."""
+        approx = np.zeros(0) if with_approx else None
+        _assert_series_files(fmt, "alpha_bar_sq", np.zeros(0), np.zeros((1, 0)), approx)
+        for n in (0, 3):
+            times = TimeColumn(np.arange(n, dtype=float))
+            assert render_series(fmt, "alpha_bar_sq", times, np.zeros((0, n))) == []
 
     # n=129 and n=150 are written in blocks of 127 and 109 rows, the last
     # block partial (see TestMatrixExport.test_row_blocks).

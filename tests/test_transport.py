@@ -137,6 +137,19 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match="3 x 101 table has 303 entries"):
             series(s, grid, "quantum_avg_return")
 
+    @pytest.mark.parametrize("quantity", ["classical_avg_return", "quantum_avg_return", "alpha_bar_sq",
+                                          "approx_alpha_bar_sq"])
+    def test_overflowing_phase_angle(self, quantity):
+        # path:3 has eigenvalues 0, 1 and 3: the angle 3t overflows at the
+        # last time 1.7e308, while 3e307 on the second grid is finite.  The
+        # grid is rejected before any phase is evaluated, with no warning
+        # (which pytest makes an error here).
+        s = eigendecompose(laplacian(gen_path(3)))
+        with pytest.raises(ValueError, match=r"^the phase angle E\*t overflows at time 1\.7e\+308 "
+                                             r"and eigenvalue 3; use an earlier time grid$"):
+            series(s, TimeGrid(1e308, 1.7e308, 1e307), quantity)
+        assert np.isfinite(series(s, TimeGrid(1e306, 1e307, 1e306), quantity).values).all()
+
     @pytest.mark.parametrize(
         "args", [(0, np.inf, 1), (0, np.nan, 1), (np.nan, 1, 0.1), (0, 1, np.inf)]
     )
