@@ -4,10 +4,11 @@ The solver is LAPACK's symmetric eigensolver (``numpy.linalg.eigh``).  Its
 result is checked, not trusted: before a Spectrum is returned, the
 orthogonality residual max|Q^T Q - I| and the eigen-residual
 max|L Q - Q diag(w)| must both lie within 1e-10 * max(1, ||L||_F), and a
-failure (NaN included) raises ConvergenceError.  Eigenvectors are sign-fixed,
-so output is byte-stable across runs on one machine and numpy build.  Within
-a degenerate class the basis is whatever LAPACK returns; every quantity
-downstream depends only on the class projectors, not on that choice.
+failure (NaN included) raises ConvergenceError.  Eigenvectors keep LAPACK's
+signs, and a degenerate class its basis: every quantity reads an eigenvector
+only as q_a[k] q_a[j] or q_a^2, bit for bit the same under a sign flip, and
+depends only on the class projectors.  Output is byte-stable on one machine
+and numpy build because eigh is deterministic there.
 The eigenvalues split into degeneracy classes, contiguous runs, at every gap
 above deg_tol; a run spreading wider than deg_tol is a ValueError, and so is
 a deg_tol below ten times the eigen-residual, where noise could split a
@@ -53,7 +54,7 @@ class ConvergenceError(RuntimeError):
     check; the message carries the residuals."""
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class Spectrum:
     """Eigenvalues (ascending), orthonormal eigenvectors (column j pairs with
     eigenvalue j), and the degeneracy-class partition of indices 0..n-1 into
@@ -70,9 +71,9 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     deg_tol: float
-    class_starts: np.ndarray = field(repr=False, compare=False)
-    class_values: np.ndarray = field(repr=False, compare=False)
-    class_sizes: np.ndarray = field(init=False, repr=False, compare=False)
+    class_starts: np.ndarray = field(repr=False)
+    class_values: np.ndarray = field(repr=False)
+    class_sizes: np.ndarray = field(init=False, repr=False)
 
     def __init__(self, n, eigenvalues, eigenvectors, deg_tol, class_starts, class_values):
         starts = np.asarray(class_starts, dtype=np.intp)
@@ -117,16 +118,6 @@ def _check_residuals(a: np.ndarray, w: np.ndarray, v: np.ndarray) -> tuple[float
             f"{orth:.3e}, eigen-residual {eig:.3e}, tolerance {tol:.3e}"
         )
     return eig, residual
-
-
-def _fix_signs(vectors: np.ndarray) -> None:
-    """Deterministic sign convention, applied in place: the first component
-    of largest magnitude in each column is made positive (ties resolved by
-    np.argmax's lowest index)."""
-    if vectors.size:
-        # Each column as a contiguous row, so that argmax runs along memory.
-        lead = np.abs(vectors.T, order="C").argmax(axis=1)
-        vectors *= np.where(vectors[lead, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
 
 
 def _partition(w: np.ndarray, deg_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -174,8 +165,8 @@ def eigendecompose(matrix, deg_tol: float = DEFAULT_DEG_TOL) -> Spectrum:
     """Full spectrum of a symmetric matrix given as an array, such as the
     integer matrix graphs.laplacian returns.
 
-    Eigenvalues come back ascending with sign-fixed orthonormal eigenvectors
-    and the degeneracy-class partition at tolerance ``deg_tol``.  ``deg_tol``
+    Eigenvalues come back ascending with orthonormal eigenvectors, in LAPACK's
+    signs, and the degeneracy-class partition at tolerance ``deg_tol``, which
     also bounds the accepted input asymmetry.  A non-finite entry is a
     ValueError naming its 0-based [row, column]; so is a deg_tol that is not
     finite and positive, or one below _DEG_TOL_FLOOR times the eigen-residual,
@@ -213,7 +204,6 @@ def eigendecompose(matrix, deg_tol: float = DEFAULT_DEG_TOL) -> Spectrum:
             f"deg_tol {deg_tol:.3e} is below the floor {floor:.3e}, {_DEG_TOL_FLOOR:g} times "
             f"the eigen-residual, where noise could split a degeneracy class; raise --deg-tol"
         )
-    _fix_signs(v)
     starts, sizes, values = _partition(w, deg_tol)
     if starts.size < n:  # some class has two or more members, which could merge
         norms = np.sqrt(np.square(residual, out=residual).sum(axis=0))

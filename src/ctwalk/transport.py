@@ -47,8 +47,6 @@ QUANTITIES = (
 
 PAIR_QUANTITIES = ("classical_pair", "quantum_pair")
 
-MATRIX_QUANTITIES = ("lta",)
-
 # The phase kind from_phases reads each quantity from.
 PHASE_KINDS = {
     "classical_pair": "classical",
@@ -139,7 +137,7 @@ class TimeGrid:
 DEFAULT_GRID = TimeGrid(0.0, 50.0, 0.01)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransportSeries:
     """One transport quantity sampled on a time grid.
 
@@ -166,24 +164,22 @@ class TransportSeries:
             object.__setattr__(self, name, arr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbabilityMatrix:
-    """Dense n x n probability matrix; entry [k-1, j-1] refers to target node
-    k and start node j.  The long-time average, tag lta, is the one matrix
-    quantity; its 'time' is None, written as null in JSON."""
+    """Dense n x n matrix chi of long-time averages, the one matrix quantity;
+    entry [k-1, j-1] refers to target node k and start node j.  'time' is None,
+    null in JSON, and stays, with matrix_to_json's numeric time, only while
+    perfbench/tracing.py reads it."""
 
     n: int
     entries: np.ndarray
-    quantity: str
     time: float | None = None
 
     def __post_init__(self):
-        if self.quantity not in MATRIX_QUANTITIES:
-            raise ValueError(f"unknown matrix quantity tag {self.quantity!r}")
         entries = np.array(self.entries, dtype=float)
         if entries.shape != (self.n, self.n):
             raise ValueError(f"entries must be {self.n}x{self.n}")
-        _check_prob_bounds(entries, self.quantity)
+        _check_prob_bounds(entries, "lta")
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
@@ -299,7 +295,7 @@ def lta_matrix(s: Spectrum) -> ProbabilityMatrix:
         proj = qc @ qc.T
         proj = 0.5 * (proj + proj.T)
         acc += proj**2
-    return ProbabilityMatrix(s.n, acc, quantity="lta")
+    return ProbabilityMatrix(s.n, acc)
 
 
 def chi_bar(s: Spectrum) -> float:

@@ -8,8 +8,8 @@ import heapq
 import numpy as np
 import pytest
 
-from ctwalk.analysis import decay_slope, efficiency_report, running_time_average
-from ctwalk.graphs import FAMILY_LABELS, from_edge_list, gen_star, laplacian
+from ctwalk.analysis import VERDICT_MARGIN, decay_slope, efficiency_report, running_time_average, verdict
+from ctwalk.graphs import FAMILY_LABELS, from_edge_list, gen_broom, gen_cycle, gen_path, gen_star, laplacian
 from ctwalk.spectral import eigendecompose, symmetry_degree
 from ctwalk.transport import (
     PAIR_QUANTITIES,
@@ -180,3 +180,31 @@ def test_criterion_11_degenerate_basis_invariance(family_spectra):
     gap = np.abs(returns[0] - returns[1])
     assert float(gap.max()) < 1e-9
     _passed(11, "rotating the degenerate eigenbasis leaves chi_bar, chi matrix, pi-bar fixed")
+
+
+# Sum of squared class sizes, chi_bar_lb * n^2, of the brooms B(n/2, n/2).
+BROOM_SQUARES = {10: 30, 20: 92, 50: 602, 100: 2550, 200: 9902, 300: 22352}
+
+
+def test_criterion_12_verdicts_at_size_target():
+    # (graph, sum of squared class sizes, verdict, deciding rule) per n.  A
+    # saturation bound at 1/n + VERDICT_MARGIN or above decides alone;
+    # below it the slopes do.  cycle:50 sits 0.0008 below the bound.
+    quantum, classical = "quantum_more_efficient", "classical_more_efficient"
+    for n in (10, 20, 50, 100, 200, 300):
+        cycle = (classical, "saturation") if n < 50 else (quantum, "slopes")
+        cases = {
+            "path": (gen_path(n), n, quantum, "slopes"),
+            "cycle": (gen_cycle(n), 2 * n - 2) + cycle,
+            "star": (gen_star(n), (n - 2) ** 2 + 2, classical, "saturation"),
+            "broom": (gen_broom(n // 2, n // 2), BROOM_SQUARES[n], classical, "saturation"),
+        }
+        for name, (g, squares, expected, rule) in cases.items():
+            r = efficiency_report(g)
+            assert r.chi_bar_lb == squares / n**2, (name, n)
+            assert r.verdict == expected, (name, n)
+            # Slopes that favour the classical walk leave the saturation
+            # verdict standing and turn a slope verdict indeterminate.
+            decided = verdict(r.chi_bar_lb, n, VERDICT_MARGIN, -1.0, 0.0)
+            assert decided == (classical if rule == "saturation" else "indeterminate"), (name, n)
+    _passed(12, "verdicts of path/cycle/star/broom at n = 10..300, with their deciding rule")

@@ -17,6 +17,7 @@ from ctwalk.graphs import from_edge_list, gen_broom, gen_star, laplacian
 from ctwalk.spectral import Spectrum, eigendecompose, nearest_class, symmetry_degree
 from ctwalk.transport import (
     PHASE_KINDS,
+    QUANTITIES,
     chi_bar,
     chi_bar_lb,
     class_phases,
@@ -79,6 +80,23 @@ def test_degenerate_basis_remix_changes_nothing(g, seed):
     assert abs(chi_bar(r) - chi_bar(s)) <= 1e-9
     for quantity in ("classical_pair", "quantum_pair"):
         assert np.max(np.abs(_read(r, quantity) - _read(s, quantity))) <= 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(graphs, sample_times, st.data())
+def test_eigenvector_signs_move_no_bit(g, ts, data):
+    # Every quantity reads an eigenvector only as q_a[k] q_a[j] or q_a^2, so
+    # flipping the signs of any columns leaves every output bit for bit.
+    s = eigendecompose(laplacian(g))
+    flips = np.array(data.draw(st.lists(st.booleans(), min_size=s.n, max_size=s.n)))
+    j = data.draw(st.integers(1, s.n))
+    f = dataclasses.replace(s, eigenvectors=np.where(flips, -s.eigenvectors, s.eigenvectors))
+    for t in (ts, np.array(ts[0])):
+        for quantity in QUANTITIES:
+            phases = class_phases(s, t, PHASE_KINDS[quantity])
+            assert np.array_equal(from_phases(f, quantity, phases, j), from_phases(s, quantity, phases, j))
+    assert np.array_equal(lta_matrix(f).entries, lta_matrix(s).entries)
+    assert np.array_equal(chi_bar(f), chi_bar(s))
 
 
 @PROPERTY_SETTINGS

@@ -45,21 +45,21 @@ class TestNumbers:
             "quantum_pair", np.array([0.0, 1.0, 2.0]), np.array([-5e-10, 0.5, 1.0 + 5e-10])
         )
         assert _csv(ser) == b"t,value\n0,0\n1,0.5\n2,1\n"
-        m = ProbabilityMatrix(2, np.array([[1.0 + 5e-10, -5e-10], [-5e-10, 1.0]]), "lta")
+        m = ProbabilityMatrix(2, np.array([[1.0 + 5e-10, -5e-10], [-5e-10, 1.0]]))
         assert matrix_to_csv(m) == b"1,0\n0,1\n"
 
     def test_clamp_rejects_real_excursions(self):
         with pytest.raises(ValueError, match="escape"):
             TransportSeries("quantum_pair", np.array([0.0, 1.0]), np.array([0.0, 1.5]))
         with pytest.raises(ValueError, match="escape"):
-            ProbabilityMatrix(2, np.array([[1.0, -1e-6], [0.0, 1.0]]), "lta")
+            ProbabilityMatrix(2, np.array([[1.0, -1e-6], [0.0, 1.0]]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_probabilities_rejected(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
             TransportSeries("alpha_bar_sq", np.array([0.0, 1.0]), np.array([bad, 0.5]))
         with pytest.raises(ValueError, match="non-finite"):
-            ProbabilityMatrix(2, np.array([[bad, 0.0], [0.0, 1.0]]), "lta")
+            ProbabilityMatrix(2, np.array([[bad, 0.0], [0.0, 1.0]]))
 
     def test_non_finite_pair_table_rejected(self):
         s = eigendecompose(laplacian(gen_path(3)))
@@ -202,7 +202,7 @@ class TestOneShotFormatter:
     def test_matrix_csv_matches_fstring(self, n):
         rng = np.random.default_rng(3)
         entries = rng.random((n, n))
-        m = ProbabilityMatrix(n, entries, "lta")
+        m = ProbabilityMatrix(n, entries)
         assert matrix_to_csv(m) == "".join(
             ",".join(f"{x:.15g}" for x in row) + "\n" for row in entries
         ).encode()
@@ -351,9 +351,9 @@ class TestJsonWriter:
         entries = 10.0 ** np.random.default_rng(7).uniform(-330.0, 0.0, (n, n))
         edges = [0.0, 1.0, 5e-324, 1e-300, 1 / 3, 0.1 + 0.2]
         entries.flat[: len(edges)] = edges[: entries.size]
-        m = ProbabilityMatrix(n, entries, "lta", time)
+        m = ProbabilityMatrix(n, entries, time=time)
         obj = {
-            "quantity": m.quantity,
+            "quantity": "lta",
             "n": n,
             "labels": list(range(1, n + 1)),
             "time": None if time is None else _rounded(time)[0],
@@ -362,7 +362,7 @@ class TestJsonWriter:
         assert matrix_to_json(m) == _reference(obj).encode()
 
     def test_empty_matrix(self):
-        m = ProbabilityMatrix(0, np.zeros((0, 0)), "lta")
+        m = ProbabilityMatrix(0, np.zeros((0, 0)))
         obj = {"quantity": "lta", "n": 0, "labels": [], "time": None, "entries": []}
         assert matrix_to_json(m) == _reference(obj).encode()
         assert matrix_to_csv(m) == b""
@@ -474,11 +474,11 @@ class TestSeriesExport:
 
 class TestMatrixExport:
     def test_csv_layout(self):
-        m = ProbabilityMatrix(2, np.array([[0.5, 0.5], [0.5, 0.5]]), "lta")
+        m = ProbabilityMatrix(2, np.array([[0.5, 0.5], [0.5, 0.5]]))
         assert matrix_to_csv(m) == b"0.5,0.5\n0.5,0.5\n"
 
     def test_json_carries_labels_and_tag(self):
-        m = ProbabilityMatrix(2, np.eye(2), "lta", time=0.0)
+        m = ProbabilityMatrix(2, np.eye(2), time=0.0)
         obj = json.loads(matrix_to_json(m))
         assert obj["quantity"] == "lta"
         assert obj["labels"] == [1, 2]
@@ -486,7 +486,7 @@ class TestMatrixExport:
         assert obj["entries"] == [[1.0, 0.0], [0.0, 1.0]]
 
     def test_lta_time_is_null(self):
-        m = ProbabilityMatrix(2, np.eye(2), "lta")
+        m = ProbabilityMatrix(2, np.eye(2))
         assert json.loads(matrix_to_json(m))["time"] is None
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -497,7 +497,7 @@ class TestMatrixExport:
         put_words = serialize._put_words
         monkeypatch.setattr(serialize, "_put_words",
                             lambda x, *args, **kwargs: calls.append(x.size) or put_words(x, *args, **kwargs))
-        m = ProbabilityMatrix(n, np.full((n, n), 0.5), "lta")
+        m = ProbabilityMatrix(n, np.full((n, n), 0.5))
         (matrix_to_csv if fmt == "csv" else matrix_to_json)(m)
         assert calls == [r * n for r in rows]
 

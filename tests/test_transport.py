@@ -499,7 +499,21 @@ class TestSeries:
 
     def test_matrix_bounds_enforced(self):
         with pytest.raises(ValueError, match="escape"):
-            ProbabilityMatrix(2, np.array([[1.5, 0.0], [0.0, 1.0]]), "lta")
+            ProbabilityMatrix(2, np.array([[1.5, 0.0], [0.0, 1.0]]))
+
+
+class TestValueTypes:
+    def test_equality_is_identity(self, k2_spectrum):
+        # The array-holding value types compare and hash by identity, since
+        # an element-wise == on their arrays has no truth value.
+        s = k2_spectrum
+        r = eigendecompose(laplacian(from_edge_list(2, [(1, 2)])))
+        ser = series(s, TimeGrid(0.0, 1.0, 0.5), "alpha_bar_sq")
+        m = lta_matrix(s)
+        assert s == s and s in [r, s] and hash(s) == hash(s)
+        assert s != r and s not in [r]
+        assert ser == ser and ser != series(s, TimeGrid(0.0, 1.0, 0.5), "alpha_bar_sq")
+        assert m == m and m != lta_matrix(r) and hash(m) == hash(m)
 
 
 class TestExpmOracle:
