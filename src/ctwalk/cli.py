@@ -1,8 +1,10 @@
 """Command-line surface: gen, evolve, lta, report.
 
 Graphs come either from a generator spec (family:a, path:10, star:10,
-broom:5:5, cycle:12) or from an edge-list file path.  All numeric output is
-deterministic byte-for-byte for a fixed configuration.
+broom:5:5, cycle:12) or from an edge-list file path.  The generator kinds
+are the keys of one table, _GENERATORS; a count in a spec is plain ASCII
+decimal digits.  All numeric output is deterministic byte-for-byte for a
+fixed configuration.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure (the eigensolver
 failed its residual check), 4 I/O failure.
@@ -26,7 +28,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import analysis, graphs, serialize, transport
@@ -40,47 +41,35 @@ EXIT_IO = 4
 
 DEFAULT_QUANTITIES = ("classical_avg_return", "quantum_avg_return", "alpha_bar_sq")
 
-_GENERATOR_PREFIXES = ("family:", "path:", "star:", "cycle:", "broom:")
+
+def _count(text: str) -> int:
+    """A count in a spec: ASCII decimal digits only (int() also takes " 1_0", "+1")."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"expected a count of decimal digits, got {text!r}")
+    return int(text)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved CLI invocation."""
-
-    graph_source: str
-    grid: TimeGrid = DEFAULT_GRID
-    start_node: int = 1
-    deg_tol: float = DEFAULT_DEG_TOL
-    fmt: str = "csv"
-    out_dir: Path = Path(".")
-    quantities: tuple[str, ...] = DEFAULT_QUANTITIES
-
-
-def parse_generator_spec(spec: str) -> graphs.Graph:
-    """Build a graph from a generator spec string."""
-    kind, _, rest = spec.partition(":")
-    try:
-        if kind == "family":
-            return graphs.gen_family(rest)
-        if kind == "path":
-            return graphs.gen_path(int(rest))
-        if kind == "star":
-            return graphs.gen_star(int(rest))
-        if kind == "cycle":
-            return graphs.gen_cycle(int(rest))
-        if kind == "broom":
-            p, _, k = rest.partition(":")
-            return graphs.gen_broom(int(p), int(k))
-    except ValueError as exc:
-        raise ValueError(f"bad graph spec {spec!r}: {exc}") from exc
-    raise ValueError(f"bad graph spec {spec!r}: unknown generator {kind!r}")
+# Each spec prefix and the builder it calls with the text after it.  The builders
+# read graphs' functions at call time, as the benchmark's tracer replaces them there.
+_GENERATORS = {
+    "family:": lambda rest: graphs.gen_family(rest),
+    "path:": lambda rest: graphs.gen_path(_count(rest)),
+    "star:": lambda rest: graphs.gen_star(_count(rest)),
+    "cycle:": lambda rest: graphs.gen_cycle(_count(rest)),
+    "broom:": lambda rest: graphs.gen_broom(*map(_count, rest.partition(":")[::2])),
+}
 
 
 def resolve_graph(source: str) -> graphs.Graph:
     """Generator spec or edge-list file path."""
-    if source.startswith(_GENERATOR_PREFIXES):
-        return parse_generator_spec(source)
-    return graphs.read_edge_list(source)
+    kind, colon, rest = source.partition(":")
+    build = _GENERATORS.get(kind + colon)
+    if build is None:
+        return graphs.read_edge_list(source)
+    try:
+        return build(rest)
+    except ValueError as exc:
+        raise ValueError(f"bad graph spec {source!r}: {exc}") from exc
 
 
 def parse_times(text: str) -> TimeGrid:
@@ -104,10 +93,6 @@ def parse_quantities(text: str) -> tuple[str, ...]:
     return names
 
 
-def _spec_filename(spec: str) -> str:
-    return spec.replace(":", "_") + ".edges"
-
-
 def _write(path: Path, content: bytes) -> None:
     with open(path, "wb") as fh:
         fh.write(content)
@@ -118,29 +103,25 @@ def _write_block(files: list) -> None:
         _write(path, content)
 
 
-def _prepare_out_dir(out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-
-def cmd_gen(spec: str, out_dir: Path, deg_tol: float = DEFAULT_DEG_TOL) -> int:
+def cmd_gen(args: argparse.Namespace) -> int:
     """Materialize a generator spec as an edge-list file; report n, q, D_l."""
-    if not spec.startswith(_GENERATOR_PREFIXES):
-        raise ValueError(f"gen needs a generator spec, got {spec!r}")
-    g = parse_generator_spec(spec)
-    d_l = symmetry_degree(eigendecompose(graphs.laplacian(g), deg_tol=deg_tol))
-    _prepare_out_dir(out_dir)
-    path = out_dir / _spec_filename(spec)
+    if not args.graph.startswith(tuple(_GENERATORS)):
+        raise ValueError(f"gen needs a generator spec, got {args.graph!r}")
+    g = resolve_graph(args.graph)
+    d_l = symmetry_degree(eigendecompose(graphs.laplacian(g), deg_tol=args.deg_tol))
+    args.out.mkdir(parents=True, exist_ok=True)
+    path = args.out / (args.graph.replace(":", "_") + ".edges")
     graphs.write_edge_list(g, path)
     print(f"n={g.n} q={g.q} D_l={d_l}")
     print(path)
     return EXIT_OK
 
 
-def cmd_evolve(config: RunConfig) -> int:
-    """Emit the selected transport series over the configured grid.
+def cmd_evolve(args: argparse.Namespace) -> int:
+    """Emit the selected transport series over the --times grid.
 
     Pair quantities produce one file per target node k (start node fixed by
-    the config), all from one pair table; when both alpha_bar_sq and its
+    --start-node), all from one pair table; when both alpha_bar_sq and its
     approximation are selected they share one file with an extra column, the
     class for the approximation being the one nearest eigenvalue 1.  Each
     phase kind is evaluated once and read by every quantity of that kind, and
@@ -154,20 +135,21 @@ def cmd_evolve(config: RunConfig) -> int:
     exceed transport.MAX_TABLE_ENTRIES, or whose phase angle E t would
     overflow, writes nothing.
     """
-    g = resolve_graph(config.graph_source)
-    if not (1 <= config.start_node <= g.n):
-        raise ValueError(f"start node must be in 1..{g.n}, got {config.start_node}")
-    s = eigendecompose(graphs.laplacian(g), deg_tol=config.deg_tol)
-    transport.check_table_size(s, config.quantities, config.grid)
-    _prepare_out_dir(config.out_dir)
+    grid, quantities = parse_times(args.times), parse_quantities(args.quantities)
+    g = resolve_graph(args.graph)
+    if not (1 <= args.start_node <= g.n):
+        raise ValueError(f"start node must be in 1..{g.n}, got {args.start_node}")
+    s = eigendecompose(graphs.laplacian(g), deg_tol=args.deg_tol)
+    transport.check_table_size(s, quantities, grid)
+    args.out.mkdir(parents=True, exist_ok=True)
 
-    ts = config.grid.times()
+    ts = grid.times()
     times = serialize.TimeColumn(ts)
-    co_emit = "alpha_bar_sq" in config.quantities and "approx_alpha_bar_sq" in config.quantities
-    selected = [q for q in QUANTITIES if q in config.quantities
+    co_emit = "alpha_bar_sq" in quantities and "approx_alpha_bar_sq" in quantities
+    selected = [q for q in QUANTITIES if q in quantities
                 and not (q == "approx_alpha_bar_sq" and co_emit)]
     last_read = {transport.PHASE_KINDS[q]: q for q in selected}
-    j, step = config.start_node, times.block_rows
+    j, step = args.start_node, times.block_rows
     phases = {}  # the class phase table of each kind, evaluated on first use
     written = []
     in_flight = None  # the future of the block last handed over
@@ -193,9 +175,9 @@ def cmd_evolve(config: RunConfig) -> int:
                 if quantity in PAIR_QUANTITIES:
                     names = [f"{quantity}_k{k}_j{j}" for k in range(1, s.n + 1)]
                 for start in range(0, len(names), step):
-                    paths = [config.out_dir / f"{name}.{config.fmt}" for name in names[start : start + step]]
+                    paths = [args.out / f"{name}.{args.format}" for name in names[start : start + step]]
                     files = list(zip(paths, serialize.render_series(
-                        config.fmt, quantity, times, table[start : start + step], approx)))
+                        args.format, quantity, times, table[start : start + step], approx)))
                     if in_flight is not None:
                         in_flight.result()  # re-raises the write error of the block before
                     in_flight = writer.submit(_write_block, files)
@@ -209,42 +191,29 @@ def cmd_evolve(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_lta(config: RunConfig) -> int:
+def cmd_lta(args: argparse.Namespace) -> int:
     """Emit the long-time-average probability matrix."""
-    g = resolve_graph(config.graph_source)
-    s = eigendecompose(graphs.laplacian(g), deg_tol=config.deg_tol)
+    g = resolve_graph(args.graph)
+    s = eigendecompose(graphs.laplacian(g), deg_tol=args.deg_tol)
     matrix = transport.lta_matrix(s)
-    _prepare_out_dir(config.out_dir)
-    path = config.out_dir / f"lta.{config.fmt}"
-    _write(path, serialize.matrix_to_csv(matrix) if config.fmt == "csv" else serialize.matrix_to_json(matrix))
+    args.out.mkdir(parents=True, exist_ok=True)
+    path = args.out / f"lta.{args.format}"
+    _write(path, serialize.matrix_to_csv(matrix) if args.format == "csv" else serialize.matrix_to_json(matrix))
     print(path)
     return EXIT_OK
 
 
-def cmd_report(config: RunConfig) -> int:
+def cmd_report(args: argparse.Namespace) -> int:
     """Emit the efficiency report as JSON and print the text table."""
-    g = resolve_graph(config.graph_source)
-    report = analysis.efficiency_report(g, config.grid, config.deg_tol, label=config.graph_source)
-    _prepare_out_dir(config.out_dir)
-    path = config.out_dir / "report.json"
+    grid = parse_times(args.times)
+    g = resolve_graph(args.graph)
+    report = analysis.efficiency_report(g, grid, args.deg_tol, label=args.graph)
+    args.out.mkdir(parents=True, exist_ok=True)
+    path = args.out / "report.json"
     _write(path, serialize.report_to_json(report))
     print(serialize.report_to_text(report), end="")
     print(path)
     return EXIT_OK
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        graph_source=args.graph,
-        grid=parse_times(args.times) if getattr(args, "times", None) is not None else DEFAULT_GRID,
-        start_node=getattr(args, "start_node", 1),
-        deg_tol=args.deg_tol,
-        fmt=getattr(args, "format", "csv"),
-        out_dir=Path(args.out),
-        quantities=parse_quantities(args.quantities)
-        if getattr(args, "quantities", None) is not None
-        else DEFAULT_QUANTITIES,
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,36 +223,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, times_help=None, start_node=False, fmt=False, quantities=False):
+    def subcommand(name, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--graph", required=True, help="generator spec (family:a, path:10, star:10, broom:5:5, cycle:12) or edge-list file")
         p.add_argument("--deg-tol", type=float, default=DEFAULT_DEG_TOL, help="eigenvalue degeneracy tolerance")
-        p.add_argument("--out", default=".", help="output directory")
-        if times_help is not None:
-            p.add_argument("--times", default=None, help=f"time grid start:stop:step (default 0:50:0.01){times_help}")
-        if start_node:
-            p.add_argument("--start-node", dest="start_node", type=int, default=1, help="start node j for pairwise series")
-        if fmt:
-            p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
-        if quantities:
-            p.add_argument("--quantities", default=None, help=f"comma list from: {', '.join(QUANTITIES)}")
+        p.add_argument("--out", type=Path, default=".", help="output directory")
+        return p
 
-    p_gen = sub.add_parser("gen", help="write a generated graph as an edge-list file")
-    common(p_gen)
-    p_gen.set_defaults(func=lambda a: cmd_gen(a.graph, Path(a.out), a.deg_tol))
-
-    p_evolve = sub.add_parser("evolve", help="emit transport series over a time grid")
-    common(p_evolve, times_help="", start_node=True, fmt=True, quantities=True)
-    p_evolve.set_defaults(func=lambda a: cmd_evolve(_config_from_args(a)))
-
-    p_lta = sub.add_parser("lta", help="emit the long-time-average probability matrix")
-    common(p_lta, fmt=True)
-    p_lta.set_defaults(func=lambda a: cmd_lta(_config_from_args(a)))
-
-    p_report = sub.add_parser("report", help="emit the efficiency report")
-    window = "%g..%g" % analysis.SLOPE_WINDOW
-    common(p_report, times_help=f"; it must cover the slope window {window} with at least {analysis.MIN_SLOPE_SAMPLES} samples in it")
-    p_report.set_defaults(func=lambda a: cmd_report(_config_from_args(a)))
-
+    grid = f"{DEFAULT_GRID.start:g}:{DEFAULT_GRID.stop:g}:{DEFAULT_GRID.step:g}"
+    times_help = "time grid start:stop:step (default %(default)s)"
+    formats = dict(choices=("csv", "json"), default="csv", help="output format")
+    subcommand("gen", "write a generated graph as an edge-list file")
+    p_evolve = subcommand("evolve", "emit transport series over a time grid")
+    p_evolve.add_argument("--times", default=grid, help=times_help)
+    p_evolve.add_argument("--start-node", type=int, default=1, help="start node j for pairwise series")
+    p_evolve.add_argument("--format", **formats)
+    p_evolve.add_argument("--quantities", default=",".join(DEFAULT_QUANTITIES), help=f"comma list from: {', '.join(QUANTITIES)}")
+    subcommand("lta", "emit the long-time-average probability matrix").add_argument("--format", **formats)
+    p_report = subcommand("report", "emit the efficiency report")
+    p_report.add_argument("--times", default=grid, help=f"{times_help}; it must cover the slope window "
+                          f"{'%g..%g' % analysis.SLOPE_WINDOW} with at least {analysis.MIN_SLOPE_SAMPLES} samples in it")
     return parser
 
 
@@ -299,7 +258,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        # Looked up at call time, so that a wrapper put on a cmd_* name is called.
+        return globals()[f"cmd_{args.command}"](args)
     except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -14,6 +14,7 @@ from ctwalk.cli import DEFAULT_QUANTITIES, build_parser, main, parse_times
 from ctwalk.graphs import (
     MAX_NODES,
     format_edge_list,
+    gen_broom,
     gen_cycle,
     gen_family,
     gen_path,
@@ -25,6 +26,16 @@ from ctwalk.spectral import eigendecompose
 from ctwalk.transport import PAIR_QUANTITIES, PHASE_KINDS, QUANTITIES
 
 from oracles import transition_matrix
+
+
+# One spec of each generator kind, and the graph it names.
+GENERATOR_SPECS = {
+    "family:c": lambda: gen_family("c"),
+    "path:5": lambda: gen_path(5),
+    "star:5": lambda: gen_star(5),
+    "cycle:5": lambda: gen_cycle(5),
+    "broom:3:2": lambda: gen_broom(3, 2),
+}
 
 
 def run(capsys, *argv):
@@ -45,10 +56,38 @@ class TestGen:
         assert code == 0
         assert (tmp_path / "path_2.edges").read_text() == "n 2\n1 2\n"
 
-    def test_bad_broom_spec(self, tmp_path, capsys):
-        code, _, err = run(capsys, "gen", "--graph", "broom:0:5", "--out", str(tmp_path))
+    # The first six counts are ones int() takes: a count in a spec is ASCII
+    # decimal digits only.  The rest are malformed or out of range.
+    @pytest.mark.parametrize("spec, reason", [
+        ("path: 10", "digits"), ("path:10 ", "digits"), ("star:١٠", "digits"),
+        ("path:1_0", "digits"), ("path:+10", "digits"), ("broom: 5:5", "digits"),
+        ("cycle:-3", "digits"), ("path:", "digits"), ("path:x", "digits"),
+        ("broom:5", "digits"), ("broom:5:5:5", "digits"),
+        ("broom:0:5", "broom needs path_len >= 1"), ("star:1", "star needs n >= 2"),
+    ])
+    def test_bad_spec_is_usage_error(self, tmp_path, capsys, spec, reason):
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, "gen", "--graph", spec, "--out", str(out))
         assert code == 2
-        assert "broom" in err
+        assert err.startswith(f"error: bad graph spec {spec!r}: ")
+        assert reason in err
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_generator_specs_cover_the_table(self):
+        assert {spec.partition(":")[0] + ":" for spec in GENERATOR_SPECS} == set(cli._GENERATORS)
+
+    @pytest.mark.parametrize("spec", GENERATOR_SPECS)
+    def test_gen_file_is_the_spec(self, tmp_path, capsys, spec):
+        code, out, _ = run(capsys, "gen", "--graph", spec, "--out", str(tmp_path / "g"))
+        edges = tmp_path / "g" / (spec.replace(":", "_") + ".edges")
+        assert code == 0
+        assert out.splitlines()[1] == str(edges)
+        assert read_edge_list(edges) == GENERATOR_SPECS[spec]()
+        from_spec, from_file = tmp_path / "spec", tmp_path / "file"
+        assert run(capsys, "lta", "--graph", spec, "--out", str(from_spec))[0] == 0
+        assert run(capsys, "lta", "--graph", str(edges), "--out", str(from_file))[0] == 0
+        assert (from_file / "lta.csv").read_bytes() == (from_spec / "lta.csv").read_bytes()
 
     def test_rejects_file_source(self, tmp_path, capsys):
         code, _, err = run(capsys, "gen", "--graph", "whatever.edges", "--out", str(tmp_path))
